@@ -241,6 +241,15 @@ impl Themis {
                 if out.ends_with(',') {
                     out.pop();
                 }
+                let reports = bn.fit_reports();
+                if !reports.is_empty() {
+                    let closed = reports.iter().filter(|r| r.outer_iterations == 0).count();
+                    let unconverged = reports.iter().filter(|r| !r.converged).count();
+                    out.push_str(&format!(
+                        "\nBN parameters: {closed} closed-form, {} iterative ({unconverged} unconverged)",
+                        reports.len() - closed
+                    ));
+                }
             }
             None => out.push_str("Bayesian network: disabled"),
         }
@@ -422,11 +431,50 @@ mod tests {
         assert!(d.contains("aggregates: 2 (9 constraint groups)"), "{d}");
         assert!(d.contains("IPF:"), "{d}");
         assert!(d.contains("Bayesian network:"), "{d}");
+        // date's only aggregate covers it without its parent o_st, so its
+        // factor is coupled and goes through the loop.
+        assert!(d.contains("edges: o_st -> date, o_st -> d_st"), "{d}");
+        assert!(
+            d.contains("BN parameters: 2 closed-form, 1 iterative (0 unconverged)"),
+            "{d}"
+        );
         let (_, t) = build(ThemisConfig {
             bn_mode: None,
             ..ThemisConfig::default()
         });
         assert!(t.describe().contains("disabled"));
+    }
+
+    #[test]
+    fn describe_counts_closed_form_factors_on_a_flights_world() {
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+        use themis_aggregates::gamma::all_aggregates_of_dim;
+        use themis_aggregates::select_tcherry;
+        use themis_data::datasets::flights::{FlightsConfig, FlightsDataset};
+        let data = FlightsDataset::generate(FlightsConfig {
+            n: 6_000,
+            seed: 1,
+            ..FlightsConfig::default()
+        });
+        let pop = &data.population;
+        let attrs: Vec<AttrId> = pop.schema().attr_ids().collect();
+        let candidates = all_aggregates_of_dim(pop, &attrs, 2);
+        let aggregates = AggregateSet::from_results(
+            select_tcherry(&candidates, 4)
+                .into_iter()
+                .map(|i| candidates[i].clone())
+                .collect(),
+        );
+        let sample = data.sample_corners_with_bias(1.0, &mut SmallRng::seed_from_u64(2));
+        let t = Themis::build(sample, aggregates, pop.len() as f64, ThemisConfig::default());
+        // Every family is covered whole by a t-cherry aggregate and every
+        // root by a marginal of one, so no factor needs the loop.
+        let d = t.describe();
+        assert!(
+            d.contains("BN parameters: 5 closed-form, 0 iterative (0 unconverged)"),
+            "{d}"
+        );
     }
 
     #[test]

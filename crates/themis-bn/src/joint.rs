@@ -155,6 +155,8 @@ pub fn learn_parameters_joint(
             }
         }
     }
+    // The per-factor reports describe the sample-only start, not this solve.
+    net.set_fit_reports(Vec::new());
 
     (
         net,

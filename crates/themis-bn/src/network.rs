@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 use themis_data::{AttrId, Schema};
+use themis_solver::MleReport;
 
 /// Conditional probability table of one node.
 ///
@@ -104,6 +105,9 @@ pub struct BayesianNetwork {
     parents: Vec<Vec<AttrId>>,
     /// `cpts[i]` — CPT of node `i`.
     cpts: Vec<Cpt>,
+    /// `fit_reports[i]` — the solve that fitted `cpts[i]`; empty unless
+    /// parameter learning built the network.
+    fit_reports: Vec<MleReport>,
 }
 
 impl BayesianNetwork {
@@ -118,6 +122,7 @@ impl BayesianNetwork {
             schema,
             parents,
             cpts,
+            fit_reports: Vec::new(),
         }
     }
 
@@ -144,6 +149,7 @@ impl BayesianNetwork {
             schema,
             parents,
             cpts,
+            fit_reports: Vec::new(),
         };
         assert!(
             net.topological_order().is_some(),
@@ -175,6 +181,19 @@ impl BayesianNetwork {
     /// Mutable CPT of a node.
     pub fn cpt_mut(&mut self, node: AttrId) -> &mut Cpt {
         &mut self.cpts[node.0]
+    }
+
+    /// One report per node, in schema order, from the constrained solve
+    /// that fitted its CPT ([`crate::parameters::learn_parameters`]): zero
+    /// iterations for a closed-form factor, the loop's counts otherwise.
+    /// Empty for networks built by hand.
+    pub fn fit_reports(&self) -> &[MleReport] {
+        &self.fit_reports
+    }
+
+    /// Record the per-node fit reports (see [`Self::fit_reports`]).
+    pub(crate) fn set_fit_reports(&mut self, reports: Vec<MleReport>) {
+        self.fit_reports = reports;
     }
 
     /// All directed edges `(parent, child)`.

@@ -19,12 +19,37 @@
 //! Each per-factor problem is a [`ConstrainedMle`]: maximize the (smoothed)
 //! count likelihood over the CPT's simplex blocks subject to the linear
 //! aggregate constraints.
+//!
+//! **Solve by aggregation, in closed form.** Taken to its limit, Example
+//! 5.1's "solve by aggregation" needs no optimizer at all. When one
+//! aggregate covers the child together with *all* its parents, each of its
+//! groups `(v, k)` yields a single-term constraint `Pr(Pa = k)·θ_{v|k} =
+//! a(v, k)/n`, which pins `θ_{v|k} = a(v, k) / a(k)`; a root's marginal
+//! pins its CPT the same way. The solver's presolve sets every pinned cell
+//! and gives whatever mass a parent configuration has left (none but
+//! rounding, when the aggregate lists every group the population has) to
+//! the unpinned cells in proportion to their counts. That is the optimum of the relaxation
+//! that drops every multi-term constraint; when it also satisfies those
+//! within tolerance — as it does when the aggregates are consistent — it
+//! is the optimum of the whole factor problem, and the factor costs one
+//! pass over its constraints. Such a CPT depends only on `Γ` and the
+//! structure, never on the sample counts: an ingest that keeps the
+//! structure leaves it bit-identical.
+//!
+//! The augmented-Lagrangian loop still runs for a factor whose constraints
+//! the pins do not settle: an aggregate that covers the child but only some
+//! of its parents leaves a coupled constraint `Σ_k Pr(Pa = k)·θ_{v|k} =
+//! a(v)/n` (the `(O, DE)` aggregate when solving `O` with a parent it does
+//! not mention), and inconsistent aggregates leave conflicting pins. Each
+//! factor's [`MleReport`] is kept on the network
+//! ([`BayesianNetwork::fit_reports`]): zero iterations for a closed-form
+//! factor.
 
 use crate::inference::point_probability;
 use crate::network::{BayesianNetwork, Cpt};
 use themis_aggregates::AggregateSet;
 use themis_data::{AttrId, Relation};
-use themis_solver::constrained::{ConstrainedMle, LinearConstraint};
+use themis_solver::constrained::{ConstrainedMle, LinearConstraint, MleReport};
 
 /// Which data source(s) drive parameter learning (the second letter of the
 /// §6.6 mode names).
@@ -81,10 +106,15 @@ pub fn learn_parameters(
         // themis-lint: allow(no-panic-in-libs) reason=structure learning emits tree/forest parent sets, which are acyclic by construction
         .expect("structure learning produces DAGs");
 
+    let mut reports = vec![None; net.arity()];
     for node in order {
-        let cpt = solve_factor(sample, aggregates, population_size, &net, node, source, options);
+        let (cpt, report) =
+            solve_factor(sample, aggregates, population_size, &net, node, source, options);
         *net.cpt_mut(node) = cpt;
+        reports[node.0] = Some(report);
     }
+    // The topological order holds every node once, so no report is missing.
+    net.set_fit_reports(reports.into_iter().flatten().collect());
     net
 }
 
@@ -97,7 +127,7 @@ fn solve_factor(
     node: AttrId,
     source: ParamSource,
     options: &ParamOptions,
-) -> Cpt {
+) -> (Cpt, MleReport) {
     let schema = net.schema();
     let card = schema.domain(node).size();
     let parents = net.parents(node).to_vec();
@@ -130,7 +160,7 @@ fn solve_factor(
     };
 
     let problem = ConstrainedMle::new(vec![card; configs], counts, constraints);
-    let (theta, _report) = problem.solve();
+    let (theta, report) = problem.solve();
 
     let mut cpt = Cpt {
         card,
@@ -139,7 +169,7 @@ fn solve_factor(
     };
     // Footnote 7: approximate solving can leave tiny negatives.
     cpt.clamp_and_renormalize();
-    cpt
+    (cpt, report)
 }
 
 /// Build the linear constraints for one factor from every aggregate that
@@ -330,6 +360,41 @@ mod tests {
         // Population o_st marginal: FL 3, NC 4, NY 3 → 0.3/0.4/0.3.
         let p_nc = point_probability(&net, &[AttrId(1)], &[1]);
         assert!((p_nc - 0.4).abs() < 0.02, "Pr(o=NC) = {p_nc}, want 0.4");
+        // Only the coupled factor needs the loop.
+        let reports = net.fit_reports();
+        assert_eq!(reports.len(), 3);
+        assert!(reports[1].outer_iterations > 0, "{reports:?}");
+        assert!(reports[1].converged, "{reports:?}");
+        for i in [0, 2] {
+            assert_eq!(reports[i].outer_iterations, 0, "{reports:?}");
+        }
+    }
+
+    #[test]
+    fn covered_families_are_solved_exactly() {
+        // o_st → d_st with the (o_st, d_st) aggregate: every cell the
+        // population has is pinned, so θ_{d|o} = a(o, d) / a(o) exactly,
+        // and the cells the population lacks get nothing.
+        let s = example_sample();
+        let p = example_population();
+        let net = learn_parameters(
+            &s,
+            &aggregates(),
+            10.0,
+            vec![vec![], vec![], vec![AttrId(1)]],
+            ParamSource::Both,
+            &ParamOptions::default(),
+        );
+        assert!(net.fit_reports().iter().all(|r| r.outer_iterations == 0));
+        let od = [AttrId(1), AttrId(2)];
+        for o in 0..3u32 {
+            let a_o = p.point_count(&[AttrId(1)], &[o]);
+            for d in 0..3u32 {
+                let want = p.point_count(&od, &[o, d]) / a_o;
+                let got = net.cpt(AttrId(2)).prob(d, &[o]);
+                assert!((got - want).abs() < 1e-12, "θ(d={d}|o={o}) = {got}, want {want}");
+            }
+        }
     }
 
     #[test]

@@ -112,7 +112,11 @@ pub fn family_bic<S: CountSource>(
     if !source.supports(&family) {
         return None;
     }
-    let joint = source.counts(&family)?;
+    // Both sums below run in key order: f64 addition is not associative,
+    // so hash order would break near-ties between families differently
+    // from build to build and make the learned structure irreproducible.
+    let mut joint: Vec<(GroupKey, f64)> = source.counts(&family)?.into_iter().collect();
+    joint.sort_by(|a, b| a.0.cmp(&b.0));
     let n = source.total();
 
     // Marginal over the parents: N_k.

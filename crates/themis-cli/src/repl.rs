@@ -780,8 +780,16 @@ mod tests {
     use super::*;
     use std::io::Write;
 
+    /// Write a fixture under a path no other call shares: tests run on
+    /// parallel threads, and a shared path would be truncated by one test
+    /// while another reads it.
     fn write_temp(name: &str, content: &str) -> std::path::PathBuf {
-        let path = std::env::temp_dir().join(format!("themis-cli-test-{name}"));
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path = std::env::temp_dir().join(format!(
+            "themis-cli-test-{}-{n}-{name}",
+            std::process::id()
+        ));
         let mut f = std::fs::File::create(&path).expect("temp file");
         f.write_all(content.as_bytes()).expect("write");
         path
@@ -800,6 +808,9 @@ mod tests {
         ));
         let out = s.handle(&format!("\\aggregate state {}", agg.display()));
         assert!(matches!(out, Outcome::Continue(ref m) if m.contains("2 groups")), "{out:?}");
+        for path in [sample, agg] {
+            let _ = std::fs::remove_file(path);
+        }
         s.handle("\\population 100");
         let out = s.handle("\\build");
         assert!(matches!(out, Outcome::Continue(ref m) if m.contains("model built")), "{out:?}");

@@ -5,9 +5,17 @@
 //! on hash iteration. The rule flags iteration over a receiver the file
 //! declares as `HashMap`/`HashSet` (`.iter()`, `.keys()`, `.values()`,
 //! `.into_iter()`, `.drain()`, or a `for ... in` loop) **when** the
-//! surrounding statement window feeds an order-sensitive sink (`push`,
-//! `collect`, `extend`) **and** nothing in the window restores an order
-//! (`sort*` calls, or collecting into a `BTreeMap`/`BTreeSet`/`BinaryHeap`).
+//! surrounding statement window feeds an order-sensitive sink **and**
+//! nothing in the window restores an order (`sort*` calls, or collecting
+//! into a `BTreeMap`/`BTreeSet`/`BinaryHeap`). The sinks are:
+//!
+//! - `push`, `collect`, `extend`, for every tracked map;
+//! - `sum`, `fold`, `product` and `+=`, for a map whose *written* type
+//!   arguments carry `f64` (`HashMap<K, f64>`): f64 addition is not
+//!   associative, so a fold in hash order can differ between two maps with
+//!   the same entries. That is how BIC family scores once broke near-ties
+//!   differently from build to build. A map whose value type is inferred
+//!   is invisible to this half of the rule.
 //!
 //! The window is a fixed forward span of source lines — a deliberate
 //! heuristic: a sort performed inside a callee (e.g. a constructor that
@@ -15,7 +23,7 @@
 //! suppression at the site.
 
 use crate::lexer::{Lexed, Tok};
-use crate::rules::{ident_in_window, punct_at, typed_idents, Finding};
+use crate::rules::{ident_in_window, punct_at, typed_idents, typed_idents_with_arg, Finding};
 use crate::source::{FileClass, SourceFile};
 use std::collections::BTreeSet;
 
@@ -26,6 +34,9 @@ const WINDOW: u32 = 15;
 
 const ITER_METHODS: [&str; 6] = ["iter", "keys", "values", "into_iter", "drain", "iter_mut"];
 const SINKS: [&str; 3] = ["push", "collect", "extend"];
+/// Folds whose result depends on order when the values are f64; `+=` is
+/// matched as a token pair.
+const FLOAT_FOLDS: [&str; 3] = ["sum", "fold", "product"];
 const ORDER_RESTORERS: [&str; 9] = [
     "sort",
     "sort_by",
@@ -47,6 +58,7 @@ pub fn check(file: &SourceFile, lexed: &Lexed) -> Vec<Finding> {
     if maps.is_empty() {
         return Vec::new();
     }
+    let float_maps = typed_idents_with_arg(toks, &["HashMap", "HashSet"], "f64");
     let mut out = Vec::new();
     let mut flagged_lines: BTreeSet<u32> = BTreeSet::new();
     for (i, t) in toks.iter().enumerate() {
@@ -67,22 +79,42 @@ pub fn check(file: &SourceFile, lexed: &Lexed) -> Vec<Finding> {
             None
         };
         let Some((kind, map_name)) = site else { continue };
-        if ident_in_window(toks, t.line, WINDOW, &SINKS)
-            && !ident_in_window(toks, t.line, WINDOW, &ORDER_RESTORERS)
-        {
-            flagged_lines.insert(t.line);
-            out.push(Finding::new(
-                file,
-                t,
-                RULE,
-                format!(
-                    "{kind} over hash-ordered `{map_name}` feeds push/collect/extend with no \
-                     adjacent sort or BTree collection; hash order must not reach results"
-                ),
-            ));
+        if ident_in_window(toks, t.line, WINDOW, &ORDER_RESTORERS) {
+            continue;
         }
+        let message = if ident_in_window(toks, t.line, WINDOW, &SINKS) {
+            format!(
+                "{kind} over hash-ordered `{map_name}` feeds push/collect/extend with no \
+                 adjacent sort or BTree collection; hash order must not reach results"
+            )
+        } else if float_maps.contains(map_name)
+            && (ident_in_window(toks, t.line, WINDOW, &FLOAT_FOLDS)
+                || plus_eq_in_window(toks, t.line, WINDOW))
+        {
+            format!(
+                "{kind} over hash-ordered `{map_name}` folds f64 values (sum/fold/product/+=) \
+                 with no adjacent sort or BTree collection; f64 addition is not associative, \
+                 so hash order changes the result"
+            )
+        } else {
+            continue;
+        };
+        flagged_lines.insert(t.line);
+        out.push(Finding::new(file, t, RULE, message));
     }
     out
+}
+
+/// Whether a `+=` starts within `lines` of `line` (forward window).
+fn plus_eq_in_window(toks: &[crate::lexer::Token], line: u32, lines: u32) -> bool {
+    toks.windows(2).any(|w| {
+        w[0].line >= line
+            && w[0].line <= line.saturating_add(lines)
+            && w[0].tok == Tok::Punct('+')
+            && w[1].tok == Tok::Punct('=')
+            && w[1].line == w[0].line
+            && w[1].col == w[0].col + 1
+    })
 }
 
 /// If the `for` header starting at token `i` iterates (directly or by
@@ -148,8 +180,38 @@ mod tests {
     }
 
     #[test]
-    fn order_insensitive_consumers_are_fine() {
+    fn f64_sums_in_hash_order_are_flagged() {
         let src = "fn f(m: std::collections::HashMap<u32, f64>) -> f64 {\n    m.values().sum()\n}\n";
+        let got = findings(src);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].line, 2);
+        assert!(got[0].message.contains("not associative"), "{}", got[0].message);
+    }
+
+    #[test]
+    fn f64_accumulation_in_a_for_loop_is_flagged() {
+        let src = "fn f(m: &HashMap<Vec<u32>, f64>) -> f64 {\n    let mut t = 0.0;\n    for (_, c) in m {\n        t += c;\n    }\n    t\n}\n";
+        let got = findings(src);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].line, 3);
+    }
+
+    #[test]
+    fn integer_and_sorted_folds_are_fine() {
+        // Integer addition is associative.
+        let src = "fn f(m: std::collections::HashMap<u32, u64>) -> u64 {\n    m.values().sum()\n}\n";
+        assert!(findings(src).is_empty());
+        // A sort in the window restores an order.
+        let src = "fn f(m: HashMap<u32, f64>) -> f64 {\n    let mut v: Vec<(u32, f64)> = m.into_iter().collect();\n    v.sort_by_key(|e| e.0);\n    v.iter().map(|e| e.1).sum()\n}\n";
+        assert!(findings(src).is_empty());
+        // A value type left to inference is invisible.
+        let src = "fn f() -> f64 {\n    let m = std::collections::HashMap::new();\n    m.values().sum()\n}\n";
+        assert!(findings(src).is_empty());
+    }
+
+    #[test]
+    fn order_insensitive_consumers_are_fine() {
+        let src = "fn f(m: std::collections::HashMap<u32, f64>) -> usize {\n    m.values().filter(|v| **v > 0.0).count()\n}\n";
         assert!(findings(src).is_empty());
     }
 }

@@ -80,7 +80,28 @@ pub fn run_file_rules(file: &SourceFile, lexed: &Lexed) -> Vec<Finding> {
 /// Receivers whose type never appears in the file (trait objects, generics,
 /// slices) escape the heuristic; rules built on it say so in their docs.
 pub fn typed_idents(tokens: &[Token], type_names: &[&str]) -> BTreeSet<String> {
-    let mut found = BTreeSet::new();
+    bindings(tokens, type_names)
+        .into_iter()
+        .map(|(name, _)| name)
+        .collect()
+}
+
+/// The subset of [`typed_idents`] whose written type arguments name `arg`
+/// at any depth: `m: HashMap<K, f64>`, `m: &HashMap<K, Vec<f64>>`, or
+/// `let m = HashMap::<K, f64>::new()`. A binding whose type arguments are
+/// left to inference is not returned.
+pub fn typed_idents_with_arg(tokens: &[Token], type_names: &[&str], arg: &str) -> BTreeSet<String> {
+    bindings(tokens, type_names)
+        .into_iter()
+        .filter(|&(_, ty)| type_args_name(tokens, ty, arg))
+        .map(|(name, _)| name)
+        .collect()
+}
+
+/// Every binding [`typed_idents`] recognizes, with the index of the type
+/// token that matched (the `vec` ident for macro inference).
+fn bindings(tokens: &[Token], type_names: &[&str]) -> Vec<(String, usize)> {
+    let mut found = Vec::new();
     let is_type = |t: Option<&Token>| {
         matches!(t.map(|t| &t.tok), Some(Tok::Ident(s)) if type_names.contains(&s.as_str()))
     };
@@ -98,7 +119,7 @@ pub fn typed_idents(tokens: &[Token], type_names: &[&str]) -> BTreeSet<String> {
             }
             j = skip_path_prefix(tokens, j);
             if is_type(tokens.get(j)) {
-                found.insert(name.clone());
+                found.push((name.clone(), j));
             }
         }
         // `let [mut] name = Type::...` / `let [mut] name = vec![...]`
@@ -117,12 +138,11 @@ pub fn typed_idents(tokens: &[Token], type_names: &[&str]) -> BTreeSet<String> {
             // `= [path::]* Type :: ctor(...)`: any path segment followed by
             // `::` that names a tracked type marks a constructor call.
             let mut k = j + 2;
-            let mut rhs_is_ctor = false;
             while matches!(tokens.get(k).map(|t| &t.tok), Some(Tok::Ident(_)))
                 && matches!(tokens.get(k + 1).map(|t| &t.tok), Some(Tok::PathSep))
             {
                 if is_type(tokens.get(k)) {
-                    rhs_is_ctor = true;
+                    found.push((bound.clone(), k));
                     break;
                 }
                 k += 2;
@@ -130,12 +150,41 @@ pub fn typed_idents(tokens: &[Token], type_names: &[&str]) -> BTreeSet<String> {
             let rhs_is_vec_macro = type_names.contains(&"Vec")
                 && matches!(rhs, Some(Tok::Ident(s)) if s == "vec")
                 && matches!(tokens.get(j + 3).map(|t| &t.tok), Some(Tok::Punct('!')));
-            if rhs_is_ctor || rhs_is_vec_macro {
-                found.insert(bound.clone());
+            if rhs_is_vec_macro {
+                found.push((bound.clone(), j + 2));
             }
         }
     }
     found
+}
+
+/// Whether the type named at `tokens[ty]` has written type arguments
+/// (`Type<...>` or turbofish `Type::<...>`) naming `arg` at any depth.
+fn type_args_name(tokens: &[Token], ty: usize, arg: &str) -> bool {
+    let mut i = ty + 1;
+    if pathsep_at(tokens, i) {
+        i += 1;
+    }
+    if !punct_at(tokens, i, '<') {
+        return false;
+    }
+    let mut depth = 0usize;
+    for t in &tokens[i..] {
+        match &t.tok {
+            Tok::Punct('<') => depth += 1,
+            Tok::Punct('>') => {
+                depth -= 1;
+                if depth == 0 {
+                    return false;
+                }
+            }
+            Tok::Ident(s) if s == arg => return true,
+            // A type's arguments never hold these; stop at a malformed one.
+            Tok::Punct(';') | Tok::Punct('{') => return false,
+            _ => {}
+        }
+    }
+    false
 }
 
 /// Skip `ident ::` pairs so `std::collections::HashMap` matches on its

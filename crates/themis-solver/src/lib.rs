@@ -9,9 +9,10 @@
 //! * [`mod@nnls`] — Lawson–Hanson non-negative least squares (used by the
 //!   constrained linear-regression reweighter, §4.1.1 of the paper),
 //! * [`simplex`] — Euclidean projection onto the probability simplex,
-//! * [`constrained`] — projected-gradient / augmented-Lagrangian maximum
-//!   likelihood over products of simplices with linear equality constraints
-//!   (used by the Bayesian-network parameter learner, §4.2.3 and §5.2).
+//! * [`constrained`] — maximum likelihood over products of simplices with
+//!   linear equality constraints: a closed-form presolve for pinned cells,
+//!   else an augmented-Lagrangian loop (used by the Bayesian-network
+//!   parameter learner, §4.2.3 and §5.2).
 
 #![forbid(unsafe_code)]
 

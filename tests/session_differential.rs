@@ -50,23 +50,29 @@ fn biased_sample(pop: &Relation) -> Relation {
     pop.select_rows(&rows)
 }
 
+/// A model of the biased sample with population aggregates over each of
+/// `attr_sets`.
+fn build_model(attr_sets: &[&[AttrId]]) -> Themis {
+    let pop = population();
+    let aggregates = AggregateSet::from_results(
+        attr_sets
+            .iter()
+            .map(|attrs| AggregateResult::compute(&pop, attrs))
+            .collect(),
+    );
+    let n = pop.len() as f64;
+    let sample = biased_sample(&pop);
+    let config = ThemisConfig {
+        bn_sample_size: Some(500),
+        ..ThemisConfig::default()
+    };
+    Themis::build(sample, aggregates, n, config)
+}
+
 /// The one model every session in this suite shares.
 fn model() -> &'static Themis {
     static MODEL: OnceLock<Themis> = OnceLock::new();
-    MODEL.get_or_init(|| {
-        let pop = population();
-        let aggregates = AggregateSet::from_results(vec![
-            AggregateResult::compute(&pop, &[AttrId(0)]),
-            AggregateResult::compute(&pop, &[AttrId(1), AttrId(2)]),
-        ]);
-        let n = pop.len() as f64;
-        let sample = biased_sample(&pop);
-        let config = ThemisConfig {
-            bn_sample_size: Some(500),
-            ..ThemisConfig::default()
-        };
-        Themis::build(sample, aggregates, n, config)
-    })
+    MODEL.get_or_init(|| build_model(&[&[AttrId(0)], &[AttrId(1), AttrId(2)]]))
 }
 
 /// Engine options at a given width: small morsels so multi-morsel merging
@@ -266,9 +272,20 @@ fn ingest_moving_nothing_resimulates_zero_replicates() {
     let snap = s.live_snapshot();
     assert_eq!(snap.replicates_resimulated, 0);
     assert_eq!(snap.replicates_kept, 10);
-    // And a batch that does move the BN re-simulates exactly once.
-    s.ingest("t", &[vec!["4".to_string(), "0".to_string(), "2".to_string()]])
-        .unwrap();
+    // The aggregates pin every factor of this model, so a batch that keeps
+    // the structure leaves the BN bit-identical, and the replicates stay.
+    let row = vec!["4".to_string(), "0".to_string(), "2".to_string()];
+    let report = s.ingest("t", std::slice::from_ref(&row)).unwrap();
+    assert!(!report.bn_moved, "pinned factors must not follow the sample");
+    s.sql("SELECT a, COUNT(*) AS n FROM t GROUP BY a").unwrap();
+    assert_eq!(s.live_snapshot().replicates_resimulated, 0);
+    // With only `a` aggregated, the factors of b and c follow the sample
+    // counts: the same batch moves the BN and re-simulates exactly once.
+    let s = ThemisSession::with_engine(build_model(&[&[AttrId(0)]]), engine(2))
+        .with_answer_cache(8);
+    s.sql("SELECT a, COUNT(*) AS n FROM t GROUP BY a").unwrap();
+    let report = s.ingest("t", std::slice::from_ref(&row)).unwrap();
+    assert!(report.bn_moved, "unpinned factors follow the sample");
     s.sql("SELECT a, COUNT(*) AS n FROM t GROUP BY a").unwrap();
     assert_eq!(s.live_snapshot().replicates_resimulated, 10);
 }
