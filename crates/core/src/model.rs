@@ -292,21 +292,6 @@ impl Themis {
     pub fn group_by(&self, attrs: &[AttrId]) -> HashMap<GroupKey, f64> {
         route::hybrid_group_by(&self.sample, attrs, &route::simulate_replicates(self)).0
     }
-
-    /// `GROUP BY` answered by the BN alone (§4.2.4).
-    ///
-    /// # Errors
-    /// [`ThemisError::NoBayesNet`] if the model was built without a BN.
-    pub fn group_by_bn(
-        &self,
-        attrs: &[AttrId],
-    ) -> Result<HashMap<GroupKey, f64>, ThemisError> {
-        if self.bn.is_none() {
-            return Err(ThemisError::NoBayesNet);
-        }
-        Ok(route::group_consensus(&route::simulate_replicates(self), attrs)
-            .unwrap_or_default())
-    }
 }
 
 #[cfg(test)]
@@ -372,20 +357,6 @@ mod tests {
         for (g, c) in &sample_groups {
             assert_eq!(hybrid[g], *c);
         }
-    }
-
-    #[test]
-    fn group_by_bn_requires_a_network() {
-        let (_, t) = build(ThemisConfig {
-            bn_mode: None,
-            ..ThemisConfig::default()
-        });
-        assert_eq!(
-            t.group_by_bn(&[AttrId(1)]),
-            Err(ThemisError::NoBayesNet)
-        );
-        let (_, t) = build(ThemisConfig::default());
-        assert!(!t.group_by_bn(&[AttrId(1)]).unwrap().is_empty());
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! that decision explicit and observable: `decide` maps a parsed query to
 //! a decision before anything executes (that is what
 //! `ThemisSession::explain` surfaces), execution stamps the resulting
-//! [`Route`] onto every [`crate::Answer`], and the three formerly duplicated
-//! replicate-merge loops (`sql`, `sql_bn_only`, `group_by`) all funnel
+//! [`Route`] onto every [`crate::Answer`], and every replicate merge (the
+//! session's `sql` and `sql_bn_only`, the model's `group_by`) funnels
 //! through one `intersect_into` agreement step.
 
 use crate::model::Themis;
@@ -529,8 +529,8 @@ fn replicate_consensus(
         if template.is_none() {
             template = Some(result);
         }
-        intersect_into(&mut agreed, m, |acc, vals| {
-            for (a, v) in acc.iter_mut().zip(vals) {
+        intersect_into(&mut agreed, m, |sums, vals| {
+            for (a, v) in sums.iter_mut().zip(vals) {
                 *a += v;
             }
         });
@@ -678,25 +678,9 @@ pub(crate) fn bn_only_sql(
     Ok(out)
 }
 
-/// BN-consensus counts for an attribute-level `GROUP BY` (K-averaged), or
-/// `None` without replicates.
-pub(crate) fn group_consensus(
-    replicates: &[Arc<Relation>],
-    attrs: &[AttrId],
-) -> Option<HashMap<GroupKey, f64>> {
-    if replicates.is_empty() {
-        return None;
-    }
-    let mut agreed: Option<HashMap<GroupKey, f64>> = None;
-    for replicate in replicates {
-        intersect_into(&mut agreed, replicate.group_counts(attrs), |a, v| *a += v);
-    }
-    let k = replicates.len() as f64;
-    agreed.map(|m| m.into_iter().map(|(g, sum)| (g, sum / k)).collect())
-}
-
 /// Hybrid attribute-level `GROUP BY` (§4.3): sample groups keep their
-/// reweighted counts; BN-consensus groups fill in what the sample missed.
+/// reweighted counts; groups agreed by every replicate fill in what the
+/// sample missed, with their counts averaged over the K replicates.
 pub(crate) fn hybrid_group_by(
     sample: &Relation,
     attrs: &[AttrId],
@@ -704,15 +688,16 @@ pub(crate) fn hybrid_group_by(
 ) -> (HashMap<GroupKey, f64>, Route) {
     let mut answer = sample.group_counts(attrs);
     let sample_groups = answer.len();
-    let mut bn_groups_added = 0;
-    if let Some(consensus) = group_consensus(replicates, attrs) {
-        for (group, count) in consensus {
-            answer.entry(group).or_insert_with(|| {
-                bn_groups_added += 1;
-                count
-            });
-        }
+    let mut agreed: Option<HashMap<GroupKey, f64>> = None;
+    for replicate in replicates {
+        intersect_into(&mut agreed, replicate.group_counts(attrs), |a, v| *a += v);
     }
+    let k = replicates.len() as f64;
+    // themis-lint: allow(deterministic-iteration) reason=each agreed group is inserted under its own key and nothing is summed across groups, so hash order cannot change the answer map
+    for (group, sum) in agreed.unwrap_or_default() {
+        answer.entry(group).or_insert(sum / k);
+    }
+    let bn_groups_added = answer.len() - sample_groups;
     (
         answer,
         Route::Hybrid {
@@ -763,6 +748,51 @@ mod tests {
         let mut acc: Option<HashMap<u8, f64>> = None;
         intersect_into(&mut acc, HashMap::from([(1u8, 4.0)]), |x, v| *x += v);
         assert_eq!(acc.unwrap()[&1], 4.0);
+    }
+
+    #[test]
+    fn rare_groups_require_unanimity() {
+        use themis_data::{Attribute, Domain, Schema};
+        let schema = Schema::new(vec![Attribute::new("x", Domain::indexed("x", 3))]);
+        let relation = |rows: &[(u32, f64)]| {
+            let mut r = Relation::new(Arc::clone(&schema));
+            for &(x, w) in rows {
+                r.push_row_weighted(&[x], w);
+            }
+            r
+        };
+        let sample = relation(&[(2, 1.0)]);
+        // Group 1 misses the second replicate; groups 0 and 2 are in both.
+        let replicates = [
+            Arc::new(relation(&[(0, 2.0), (1, 1.0), (2, 5.0)])),
+            Arc::new(relation(&[(0, 4.0), (2, 7.0)])),
+        ];
+        let (answer, route) = hybrid_group_by(&sample, &[AttrId(0)], &replicates);
+        // The sample keeps its own count for group 2; the agreed group 0
+        // gets the replicates' average; group 1 is damped.
+        assert_eq!(answer, HashMap::from([(vec![2], 1.0), (vec![0], 3.0)]));
+        assert_eq!(
+            route,
+            Route::Hybrid {
+                sample_groups: 1,
+                bn_groups_added: 1,
+            }
+        );
+    }
+
+    #[test]
+    fn zero_replicates_add_no_bn_groups() {
+        let sample = themis_data::paper_example::example_sample();
+        let attrs = [AttrId(1), AttrId(2)];
+        let (answer, route) = hybrid_group_by(&sample, &attrs, &[]);
+        assert_eq!(answer, sample.group_counts(&attrs));
+        assert_eq!(
+            route,
+            Route::Hybrid {
+                sample_groups: answer.len(),
+                bn_groups_added: 0,
+            }
+        );
     }
 
     #[test]

@@ -39,7 +39,7 @@ use crate::route::{self, Decision, Explain, Route};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 use themis_aggregates::IncidenceMatrix;
-use themis_data::{AttrId, GroupKey, Relation};
+use themis_data::{AttrId, Relation};
 use themis_live::{plan_fingerprint, AnswerCache, Fingerprint, LiveSnapshot, LiveStats};
 use themis_obs::Counter;
 use themis_query::{
@@ -47,7 +47,6 @@ use themis_query::{
 };
 use themis_reweight::{ipf_on_incidence, linreg_weights, uniform_weights};
 use themis_sql::{Query, SelectItem};
-use std::collections::HashMap;
 
 /// A query result with its provenance: which debiasing component answered
 /// ([`Route`]) and how long the query took.
@@ -254,15 +253,10 @@ impl ThemisSession {
         Arc::try_unwrap(model).unwrap_or_else(|shared| (*shared).clone())
     }
 
-    /// The engine configuration queries run with.
+    /// The engine configuration the short forms (`sql`, `explain`,
+    /// `analyze`, ...) run with; the `_with` forms take the caller's.
     pub fn engine(&self) -> &EngineOptions {
         &self.engine
-    }
-
-    /// Swap the engine configuration. The replicate cache is unaffected —
-    /// replicates are model state, not engine state.
-    pub fn set_engine(&mut self, engine: EngineOptions) {
-        self.engine = engine;
     }
 
     /// Test-facing view of the current generation's replicates (forces the
@@ -338,17 +332,19 @@ impl ThemisSession {
         let start = Instant::now();
         let world = self.pinned();
         // One probe decision, shared with explain: None = cache off or
-        // bypassed, Some = the key to consult and (on a miss) populate.
-        let fingerprint = match &self.cache {
-            None => None,
+        // bypassed, Some = the key to consult and (on a miss) populate. The
+        // query parsed for the key is the one a miss executes.
+        let (parsed, fingerprint) = match &self.cache {
+            None => (None, None),
             Some(_) => match Self::cache_bypass(engine) {
                 Some(_reason) => {
                     self.live.cache_bypasses.inc();
-                    None
+                    (None, None)
                 }
                 None => {
                     let query = Self::parse(sql)?;
-                    self.cache_fingerprint(&world, &query, engine)
+                    let fingerprint = self.cache_fingerprint(&world, &query, engine);
+                    (Some(query), fingerprint)
                 }
             },
         };
@@ -365,7 +361,7 @@ impl ThemisSession {
             }
             self.live.cache_misses.inc();
         }
-        let (_, result, route) = self.routed(&world, sql, engine)?;
+        let (_, result, route) = self.routed(&world, sql, parsed, engine)?;
         let answer = Answer {
             result,
             route,
@@ -384,21 +380,25 @@ impl ThemisSession {
     }
 
     /// The one routed execution path behind [`ThemisSession::sql_with`] and
-    /// [`ThemisSession::analyze_with`]: parse, decide, execute. Spans go to
-    /// `engine.trace` (no-ops on the default disabled sink), and tracing
-    /// never touches the result — both entry points produce bit-identical
-    /// answers.
+    /// [`ThemisSession::analyze_with`]: parse (unless the caller already
+    /// has, as `parsed`), decide, execute. Spans go to `engine.trace`
+    /// (no-ops on the default disabled sink), and tracing never touches the
+    /// result — both entry points produce bit-identical answers.
     fn routed(
         &self,
         world: &World,
         sql: &str,
+        parsed: Option<Query>,
         engine: &EngineOptions,
     ) -> Result<(Query, QueryResult, Route), ThemisError> {
         let trace = &engine.trace;
         let _query_span = trace.span("query");
         let query = {
             let _span = trace.span("parse");
-            Self::parse(sql)?
+            match parsed {
+                Some(query) => query,
+                None => Self::parse(sql)?,
+            }
         };
         if trace.is_enabled() && self.cache.is_some() {
             // Traced queries bypass the answer cache (see
@@ -474,7 +474,7 @@ impl ThemisSession {
         traced_engine.trace = sink.clone();
         let start = Instant::now();
         let world = self.pinned();
-        let (query, result, route) = self.routed(&world, sql, &traced_engine)?;
+        let (query, result, route) = self.routed(&world, sql, None, &traced_engine)?;
         let elapsed = start.elapsed();
         let trace = sink.finish();
         let estimated_groups = Self::estimated_groups(&world.model, &query);
@@ -544,20 +544,10 @@ impl ThemisSession {
     /// SQL over the reweighted sample only (no routing, no BN) — the
     /// behaviour of the pure reweighting baselines.
     pub fn sql_sample_only(&self, sql: &str) -> Result<Answer, ThemisError> {
-        self.sql_sample_only_with(sql, &self.engine)
-    }
-
-    /// [`ThemisSession::sql_sample_only`] with explicit per-call engine
-    /// options.
-    pub fn sql_sample_only_with(
-        &self,
-        sql: &str,
-        engine: &EngineOptions,
-    ) -> Result<Answer, ThemisError> {
         let start = Instant::now();
         let world = self.pinned();
         let query = Self::parse(sql)?;
-        let result = route::run_on(world.model.sample_arc(), &query, engine)?;
+        let result = route::run_on(world.model.sample_arc(), &query, &self.engine)?;
         Ok(Answer {
             result,
             route: Route::Sample,
@@ -569,22 +559,13 @@ impl ThemisSession {
     /// each cached replicate; groups present in *all* replicates are
     /// returned with averaged values.
     pub fn sql_bn_only(&self, sql: &str) -> Result<Answer, ThemisError> {
-        self.sql_bn_only_with(sql, &self.engine)
-    }
-
-    /// [`ThemisSession::sql_bn_only`] with explicit per-call engine options.
-    pub fn sql_bn_only_with(
-        &self,
-        sql: &str,
-        engine: &EngineOptions,
-    ) -> Result<Answer, ThemisError> {
         let start = Instant::now();
         let world = self.pinned();
         if world.model.bayesian_network().is_none() {
             return Err(ThemisError::NoBayesNet);
         }
         let query = Self::parse(sql)?;
-        let result = route::bn_only_sql(&query, engine, world.replicates())?;
+        let result = route::bn_only_sql(&query, &self.engine, world.replicates())?;
         let k_agreed = world.replicates().len();
         Ok(Answer {
             result,
@@ -622,13 +603,6 @@ impl ThemisSession {
             route,
             elapsed: start.elapsed(),
         }
-    }
-
-    /// Hybrid `GROUP BY attrs, COUNT(*)` over the cached replicates,
-    /// returning the group counts plus the route that produced them.
-    pub fn group_by(&self, attrs: &[AttrId]) -> (HashMap<GroupKey, f64>, Route) {
-        let world = self.pinned();
-        route::hybrid_group_by(world.model.reweighted_sample(), attrs, world.replicates())
     }
 
     /// Append labeled rows to the registered relation, rebuilding the model
@@ -950,21 +924,6 @@ mod tests {
     }
 
     #[test]
-    fn session_group_by_matches_model_group_by() {
-        let s = open_world_session();
-        let attrs = [AttrId(1), AttrId(2)];
-        let (groups, route) = s.group_by(&attrs);
-        assert_eq!(groups, s.model().group_by(&attrs));
-        let Route::Hybrid { sample_groups, .. } = route else {
-            panic!("hybrid expected");
-        };
-        assert_eq!(
-            sample_groups,
-            s.model().reweighted_sample().group_counts(&attrs).len()
-        );
-    }
-
-    #[test]
     fn queries_never_deep_clone_the_sample() {
         let s = open_world_session();
         let sample = Arc::clone(s.model().sample_arc());
@@ -1073,7 +1032,7 @@ mod tests {
     #[test]
     fn row_budget_degrades_hybrid_to_its_sample_part_and_explain_predicts_it() {
         use themis_query::Limits;
-        let mut s = open_world_session();
+        let s = open_world_session();
         let sql = "SELECT o_st, COUNT(*) FROM flights GROUP BY o_st";
         let sample_part = s.sql_sample_only(sql).unwrap().result.to_map();
         // Unlimited: no degradation predicted, none happens.
@@ -1082,18 +1041,18 @@ mod tests {
         assert!(matches!(s.sql(sql).unwrap().route, Route::Hybrid { .. }));
         // A row budget the 4-row sample passes but every 4000-row BN
         // replicate trips.
-        s.set_engine(EngineOptions {
+        let engine = EngineOptions {
             limits: Limits {
                 max_rows: Some(100),
                 ..Limits::default()
             },
             ..EngineOptions::default()
-        });
-        let predicted = s.explain(sql).unwrap();
+        };
+        let predicted = s.explain_with(sql, &engine).unwrap();
         assert_eq!(predicted.route, RouteKind::Hybrid);
         assert_eq!(predicted.degrades_to, Some(RouteKind::Sample));
         assert!(predicted.to_string().contains("degrades to Sample"));
-        let answer = s.sql(sql).unwrap();
+        let answer = s.sql_with(sql, &engine).unwrap();
         assert_eq!(
             answer.route,
             Route::Degraded {
@@ -1108,23 +1067,26 @@ mod tests {
         assert_eq!(answer.result.to_map(), sample_part);
         // Scalar queries have no BN phase: nothing to degrade even with
         // limits armed.
-        let scalar = s.explain("SELECT COUNT(*) FROM flights").unwrap();
+        let scalar = s.explain_with("SELECT COUNT(*) FROM flights", &engine).unwrap();
         assert_eq!(scalar.degrades_to, None);
     }
 
     #[test]
     fn contained_worker_panic_degrades_instead_of_aborting() {
         use themis_query::FaultPlan;
-        let mut s = open_world_session();
+        let s = open_world_session();
         let sql = "SELECT o_st, COUNT(*) FROM flights GROUP BY o_st";
         // Morsel 1 only exists on the 4000-row replicates (morsel_rows
         // defaults to 2048); the 4-row sample never reaches it.
-        s.set_engine(EngineOptions {
+        let engine = EngineOptions {
             fault_plan: FaultPlan::PanicAtMorsel { morsel: 1 },
             ..EngineOptions::default()
-        });
-        assert_eq!(s.explain(sql).unwrap().degrades_to, Some(RouteKind::Sample));
-        let answer = s.sql(sql).unwrap();
+        };
+        assert_eq!(
+            s.explain_with(sql, &engine).unwrap().degrades_to,
+            Some(RouteKind::Sample)
+        );
+        let answer = s.sql_with(sql, &engine).unwrap();
         assert_eq!(
             answer.route.degraded(),
             Some(crate::route::DegradeReason::WorkerFailure)
@@ -1136,12 +1098,12 @@ mod tests {
     fn slow_bn_phase_degrades_on_deadline() {
         use std::time::Duration;
         use themis_query::{FaultPlan, Limits};
-        let mut s = open_world_session();
+        let s = open_world_session();
         let sql = "SELECT o_st, COUNT(*) FROM flights GROUP BY o_st";
         // The injected stall sits on morsel 1, which only the replicates
         // have: the sample part finishes far inside the deadline, the BN
         // phase provably exceeds it.
-        s.set_engine(EngineOptions {
+        let engine = EngineOptions {
             limits: Limits {
                 deadline: Some(Duration::from_millis(50)),
                 ..Limits::default()
@@ -1151,8 +1113,8 @@ mod tests {
                 delay: Duration::from_millis(200),
             },
             ..EngineOptions::default()
-        });
-        let answer = s.sql(sql).unwrap();
+        };
+        let answer = s.sql_with(sql, &engine).unwrap();
         assert_eq!(
             answer.route,
             Route::Degraded {
@@ -1169,34 +1131,38 @@ mod tests {
     #[test]
     fn cancellation_stops_the_query_rather_than_degrading_it() {
         use themis_query::{CancelToken, Trip};
-        let mut s = open_world_session();
+        let s = open_world_session();
         let cancel = CancelToken::new();
         cancel.cancel();
-        s.set_engine(EngineOptions {
+        let engine = EngineOptions {
             cancel: Some(cancel),
             ..EngineOptions::default()
-        });
+        };
         let sql = "SELECT o_st, COUNT(*) FROM flights GROUP BY o_st";
         // A cancel token alone predicts no degradation...
-        assert_eq!(s.explain(sql).unwrap().degrades_to, None);
+        assert_eq!(s.explain_with(sql, &engine).unwrap().degrades_to, None);
         // ...and a cancelled query is an error, never a partial answer.
         assert!(matches!(
-            s.sql(sql),
+            s.sql_with(sql, &engine),
             Err(ThemisError::Exec(ExecError::Governed(Trip::Cancelled)))
         ));
     }
 
     #[test]
     fn engine_options_are_session_state() {
-        let mut s = open_world_session();
-        s.set_engine(EngineOptions {
+        // The options a session is built with answer its short forms; the
+        // `_with` forms take a caller's options for one call.
+        let engine = EngineOptions {
             threads: 2,
             morsel_rows: 64,
             ..EngineOptions::default()
-        });
+        };
+        let s = ThemisSession::with_engine(open_world_session().into_model(), engine.clone());
         assert_eq!(s.engine().threads, 2);
-        let a = s.sql("SELECT o_st, COUNT(*) FROM flights GROUP BY o_st").unwrap();
-        assert!(!a.result.rows.is_empty());
+        let sql = "SELECT o_st, COUNT(*) FROM flights GROUP BY o_st";
+        let own = s.sql(sql).unwrap();
+        assert!(!own.result.rows.is_empty());
+        assert_eq!(s.sql_with(sql, &engine).unwrap().result, own.result);
     }
 
     fn live_session() -> ThemisSession {
@@ -1248,24 +1214,24 @@ mod tests {
     #[test]
     fn traced_and_fault_injected_queries_bypass_the_cache() {
         use themis_query::{FaultPlan, TraceSink};
-        let mut s = live_session();
+        let s = live_session();
         let sql = "SELECT COUNT(*) FROM flights";
-        s.set_engine(EngineOptions {
+        let traced = EngineOptions {
             trace: TraceSink::enabled(),
             ..EngineOptions::default()
-        });
-        s.sql(sql).unwrap();
-        s.sql(sql).unwrap();
-        assert_eq!(s.explain(sql).unwrap().cached, None);
+        };
+        s.sql_with(sql, &traced).unwrap();
+        s.sql_with(sql, &traced).unwrap();
+        assert_eq!(s.explain_with(sql, &traced).unwrap().cached, None);
         let snap = s.live_snapshot();
         assert_eq!(snap.cache_bypasses, 2);
         assert_eq!((snap.cache_hits, snap.cache_misses, snap.cache_entries), (0, 0, 0));
         // Fault-injected runs are equally invisible to the cache.
-        s.set_engine(EngineOptions {
+        let faulty = EngineOptions {
             fault_plan: FaultPlan::PanicAtMorsel { morsel: 1_000_000 },
             ..EngineOptions::default()
-        });
-        s.sql(sql).unwrap();
+        };
+        s.sql_with(sql, &faulty).unwrap();
         let snap = s.live_snapshot();
         assert_eq!(snap.cache_bypasses, 3);
         assert_eq!(snap.cache_entries, 0);
@@ -1274,17 +1240,17 @@ mod tests {
     #[test]
     fn degraded_answers_are_never_cached() {
         use themis_query::Limits;
-        let mut s = live_session();
-        s.set_engine(EngineOptions {
+        let s = live_session();
+        let engine = EngineOptions {
             limits: Limits {
                 max_rows: Some(100),
                 ..Limits::default()
             },
             ..EngineOptions::default()
-        });
+        };
         let sql = "SELECT o_st, COUNT(*) FROM flights GROUP BY o_st";
         for _ in 0..2 {
-            let answer = s.sql(sql).unwrap();
+            let answer = s.sql_with(sql, &engine).unwrap();
             assert!(answer.route.degraded().is_some());
         }
         let snap = s.live_snapshot();

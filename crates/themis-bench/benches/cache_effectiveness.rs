@@ -13,10 +13,11 @@
 //! split by hit/miss and the hit rate, not a single mean.
 
 use std::time::Instant;
-use themis_bench::report::{self, Jv};
+use themis_bench::report;
 use themis_core::{Themis, ThemisConfig, ThemisSession};
 use themis_data::{AttrId, Attribute, Domain, Relation, Schema};
 use themis_query::EngineOptions;
+use themis_serve::Json;
 
 /// Distinct plans in the workload pool.
 const DISTINCT_QUERIES: usize = 32;
@@ -204,25 +205,25 @@ fn main() {
         P50_BUDGET * 100.0,
     );
 
-    let record = Jv::Obj(vec![
-        ("bench".into(), Jv::Str("cache_effectiveness".into())),
-        ("population_rows".into(), Jv::Int(20_000)),
-        ("sample_rows".into(), Jv::Int(3_000)),
-        ("distinct_queries".into(), Jv::Int(DISTINCT_QUERIES as u64)),
-        ("stream_len".into(), Jv::Int(STREAM_LEN as u64)),
-        ("cache_entries".into(), Jv::Int(CACHE_ENTRIES as u64)),
-        ("zipf_exponent".into(), Jv::Num(1.0)),
-        ("uncached_p50_us".into(), Jv::Num(uncached_p50)),
-        ("uncached_p90_us".into(), Jv::Num(quantile(&uncached_lat, 0.90))),
-        ("uncached_p99_us".into(), Jv::Num(quantile(&uncached_lat, 0.99))),
-        ("cached_p50_us".into(), Jv::Num(cached_p50)),
-        ("cached_p90_us".into(), Jv::Num(quantile(&cached_lat, 0.90))),
-        ("cached_p99_us".into(), Jv::Num(quantile(&cached_lat, 0.99))),
-        ("p50_ratio".into(), Jv::Num(ratio)),
-        ("hit_rate".into(), Jv::Num(hit_rate)),
-        ("hits".into(), Jv::Int(snap.cache_hits)),
-        ("misses".into(), Jv::Int(snap.cache_misses)),
-        ("evictions".into(), Jv::Int(snap.cache_evictions)),
+    let record = Json::Obj(vec![
+        ("bench".into(), Json::Str("cache_effectiveness".into())),
+        ("population_rows".into(), Json::Num(20_000.0)),
+        ("sample_rows".into(), Json::Num(3_000.0)),
+        ("distinct_queries".into(), Json::Num(DISTINCT_QUERIES as f64)),
+        ("stream_len".into(), Json::Num(STREAM_LEN as f64)),
+        ("cache_entries".into(), Json::Num(CACHE_ENTRIES as f64)),
+        ("zipf_exponent".into(), Json::Num(1.0)),
+        ("uncached_p50_us".into(), Json::Num(uncached_p50)),
+        ("uncached_p90_us".into(), Json::Num(quantile(&uncached_lat, 0.90))),
+        ("uncached_p99_us".into(), Json::Num(quantile(&uncached_lat, 0.99))),
+        ("cached_p50_us".into(), Json::Num(cached_p50)),
+        ("cached_p90_us".into(), Json::Num(quantile(&cached_lat, 0.90))),
+        ("cached_p99_us".into(), Json::Num(quantile(&cached_lat, 0.99))),
+        ("p50_ratio".into(), Json::Num(ratio)),
+        ("hit_rate".into(), Json::Num(hit_rate)),
+        ("hits".into(), Json::Num(snap.cache_hits as f64)),
+        ("misses".into(), Json::Num(snap.cache_misses as f64)),
+        ("evictions".into(), Json::Num(snap.cache_evictions as f64)),
     ]);
     match report::write_bench_json("cache", &record) {
         Ok(path) => println!("wrote {}", path.display()),

@@ -9,12 +9,13 @@
 //! guard itself, which the acceptance criterion caps at 5% aggregate.
 
 use std::time::{Duration, Instant};
-use themis_bench::report::{self, Jv};
+use themis_bench::report;
 use themis_data::datasets::flights::{FlightsConfig, FlightsDataset};
 use themis_query::{
     execute, execute_guarded, execute_parallel, CancelToken, Catalog, EngineOptions, Limits,
     QueryResult,
 };
+use themis_serve::Json;
 use themis_sql::Query;
 
 const REPS: usize = 7;
@@ -132,15 +133,15 @@ fn main() {
             report::f(par_g * 1e3),
             format!("{:+.1}%", par_over * 100.0),
         ]);
-        json_workloads.push(Jv::Obj(vec![
-            ("name".into(), Jv::Str(name.into())),
-            ("sql".into(), Jv::Str(sql.into())),
-            ("serial_ms".into(), Jv::Num(serial_s * 1e3)),
-            ("serial_guarded_ms".into(), Jv::Num(serial_g * 1e3)),
-            ("serial_overhead".into(), Jv::Num(serial_over)),
-            ("parallel_ms".into(), Jv::Num(par_s * 1e3)),
-            ("parallel_guarded_ms".into(), Jv::Num(par_g * 1e3)),
-            ("parallel_overhead".into(), Jv::Num(par_over)),
+        json_workloads.push(Json::Obj(vec![
+            ("name".into(), Json::Str(name.into())),
+            ("sql".into(), Json::Str(sql.into())),
+            ("serial_ms".into(), Json::Num(serial_s * 1e3)),
+            ("serial_guarded_ms".into(), Json::Num(serial_g * 1e3)),
+            ("serial_overhead".into(), Json::Num(serial_over)),
+            ("parallel_ms".into(), Json::Num(par_s * 1e3)),
+            ("parallel_guarded_ms".into(), Json::Num(par_g * 1e3)),
+            ("parallel_overhead".into(), Json::Num(par_over)),
         ]));
     }
     report::table(
@@ -163,14 +164,14 @@ fn main() {
         MAX_OVERHEAD * 100.0
     );
 
-    let record = Jv::Obj(vec![
-        ("bench".into(), Jv::Str("governance_overhead".into())),
-        ("n_rows".into(), Jv::Int(n as u64)),
-        ("reps".into(), Jv::Int(REPS as u64)),
-        ("parallel_threads".into(), Jv::Int(PARALLEL_THREADS as u64)),
-        ("workloads".into(), Jv::Arr(json_workloads)),
-        ("aggregate_overhead".into(), Jv::Num(aggregate)),
-        ("max_overhead_accepted".into(), Jv::Num(MAX_OVERHEAD)),
+    let record = Json::Obj(vec![
+        ("bench".into(), Json::Str("governance_overhead".into())),
+        ("n_rows".into(), Json::Num(n as f64)),
+        ("reps".into(), Json::Num(REPS as f64)),
+        ("parallel_threads".into(), Json::Num(PARALLEL_THREADS as f64)),
+        ("workloads".into(), Json::Arr(json_workloads)),
+        ("aggregate_overhead".into(), Json::Num(aggregate)),
+        ("max_overhead_accepted".into(), Json::Num(MAX_OVERHEAD)),
     ]);
     match report::write_bench_json("robustness", &record) {
         Ok(path) => println!("wrote {}", path.display()),

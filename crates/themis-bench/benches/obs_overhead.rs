@@ -15,11 +15,12 @@
 //! joins the baseline side and only its enabled run is an overhead.
 
 use std::time::Instant;
-use themis_bench::report::{self, Jv};
+use themis_bench::report;
 use themis_data::datasets::flights::{FlightsConfig, FlightsDataset};
 use themis_query::{
     execute, execute_guarded, execute_parallel, Catalog, EngineOptions, QueryResult, TraceSink,
 };
+use themis_serve::Json;
 use themis_sql::Query;
 
 const REPS: usize = 7;
@@ -131,17 +132,17 @@ fn main() {
             report::f(par_off * 1e3),
             format!("{:+.1}%", par_on_over * 100.0),
         ]);
-        json_workloads.push(Jv::Obj(vec![
-            ("name".into(), Jv::Str(name.into())),
-            ("sql".into(), Jv::Str(sql.into())),
-            ("serial_plain_ms".into(), Jv::Num(serial_plain * 1e3)),
-            ("serial_disabled_ms".into(), Jv::Num(serial_off * 1e3)),
-            ("serial_disabled_overhead".into(), Jv::Num(disabled_over)),
-            ("serial_enabled_ms".into(), Jv::Num(serial_on * 1e3)),
-            ("serial_enabled_overhead".into(), Jv::Num(serial_on_over)),
-            ("parallel_disabled_ms".into(), Jv::Num(par_off * 1e3)),
-            ("parallel_enabled_ms".into(), Jv::Num(par_on * 1e3)),
-            ("parallel_enabled_overhead".into(), Jv::Num(par_on_over)),
+        json_workloads.push(Json::Obj(vec![
+            ("name".into(), Json::Str(name.into())),
+            ("sql".into(), Json::Str(sql.into())),
+            ("serial_plain_ms".into(), Json::Num(serial_plain * 1e3)),
+            ("serial_disabled_ms".into(), Json::Num(serial_off * 1e3)),
+            ("serial_disabled_overhead".into(), Json::Num(disabled_over)),
+            ("serial_enabled_ms".into(), Json::Num(serial_on * 1e3)),
+            ("serial_enabled_overhead".into(), Json::Num(serial_on_over)),
+            ("parallel_disabled_ms".into(), Json::Num(par_off * 1e3)),
+            ("parallel_enabled_ms".into(), Json::Num(par_on * 1e3)),
+            ("parallel_enabled_overhead".into(), Json::Num(par_on_over)),
         ]));
     }
     report::table(
@@ -164,14 +165,14 @@ fn main() {
         MAX_DISABLED_OVERHEAD * 100.0
     );
 
-    let record = Jv::Obj(vec![
-        ("bench".into(), Jv::Str("obs_overhead".into())),
-        ("n_rows".into(), Jv::Int(n as u64)),
-        ("reps".into(), Jv::Int(REPS as u64)),
-        ("parallel_threads".into(), Jv::Int(PARALLEL_THREADS as u64)),
-        ("workloads".into(), Jv::Arr(json_workloads)),
-        ("aggregate_disabled_overhead".into(), Jv::Num(aggregate)),
-        ("max_overhead_accepted".into(), Jv::Num(MAX_DISABLED_OVERHEAD)),
+    let record = Json::Obj(vec![
+        ("bench".into(), Json::Str("obs_overhead".into())),
+        ("n_rows".into(), Json::Num(n as f64)),
+        ("reps".into(), Json::Num(REPS as f64)),
+        ("parallel_threads".into(), Json::Num(PARALLEL_THREADS as f64)),
+        ("workloads".into(), Json::Arr(json_workloads)),
+        ("aggregate_disabled_overhead".into(), Json::Num(aggregate)),
+        ("max_overhead_accepted".into(), Json::Num(MAX_DISABLED_OVERHEAD)),
     ]);
     match report::write_bench_json("obs", &record) {
         Ok(path) => println!("wrote {}", path.display()),

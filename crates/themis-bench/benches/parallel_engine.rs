@@ -11,9 +11,10 @@
 //! hash keys); on multi-core hosts thread scaling compounds it.
 
 use std::time::Instant;
-use themis_bench::report::{self, Jv};
+use themis_bench::report;
 use themis_data::datasets::flights::{FlightsConfig, FlightsDataset};
 use themis_query::{execute, execute_parallel, Catalog, EngineOptions, QueryResult};
+use themis_serve::Json;
 use themis_sql::Query;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -114,18 +115,18 @@ fn main() {
                 report::f(par_s * 1e3),
                 report::f(speedup)
             ));
-            json_points.push(Jv::Obj(vec![
-                ("threads".into(), Jv::Int(threads as u64)),
-                ("ms".into(), Jv::Num(par_s * 1e3)),
-                ("speedup".into(), Jv::Num(speedup)),
+            json_points.push(Json::Obj(vec![
+                ("threads".into(), Json::Num(threads as f64)),
+                ("ms".into(), Json::Num(par_s * 1e3)),
+                ("speedup".into(), Json::Num(speedup)),
             ]));
         }
         rows.push(cells);
-        json_workloads.push(Jv::Obj(vec![
-            ("name".into(), Jv::Str(name.into())),
-            ("sql".into(), Jv::Str(sql.into())),
-            ("serial_ms".into(), Jv::Num(serial_s * 1e3)),
-            ("parallel".into(), Jv::Arr(json_points)),
+        json_workloads.push(Json::Obj(vec![
+            ("name".into(), Json::Str(name.into())),
+            ("sql".into(), Json::Str(sql.into())),
+            ("serial_ms".into(), Json::Num(serial_s * 1e3)),
+            ("parallel".into(), Json::Arr(json_points)),
         ]));
     }
     report::table(
@@ -145,18 +146,18 @@ fn main() {
         report::f(group_by_speedup_at_4)
     );
 
-    let record = Jv::Obj(vec![
-        ("bench".into(), Jv::Str("parallel_engine".into())),
-        ("n_rows".into(), Jv::Int(n as u64)),
-        ("reps".into(), Jv::Int(REPS as u64)),
+    let record = Json::Obj(vec![
+        ("bench".into(), Json::Str("parallel_engine".into())),
+        ("n_rows".into(), Json::Num(n as f64)),
+        ("reps".into(), Json::Num(REPS as f64)),
         (
             "thread_counts".into(),
-            Jv::Arr(THREAD_COUNTS.iter().map(|&t| Jv::Int(t as u64)).collect()),
+            Json::Arr(THREAD_COUNTS.iter().map(|&t| Json::Num(t as f64)).collect()),
         ),
-        ("workloads".into(), Jv::Arr(json_workloads)),
+        ("workloads".into(), Json::Arr(json_workloads)),
         (
             "group_by_speedup_at_4_threads".into(),
-            Jv::Num(group_by_speedup_at_4),
+            Json::Num(group_by_speedup_at_4),
         ),
     ]);
     match report::write_bench_json("parallel", &record) {

@@ -10,10 +10,11 @@
 //! connection.
 
 use std::time::Instant;
-use themis_bench::report::{self, Jv};
+use themis_bench::report;
 use themis_core::{Route, Themis, ThemisConfig, ThemisSession, TraceSpan};
 use themis_data::{AttrId, Attribute, Domain, Relation, Schema};
 use themis_query::EngineOptions;
+use themis_serve::Json;
 
 const REPS: usize = 7;
 const MIXED_QUERIES: usize = 300;
@@ -159,20 +160,20 @@ fn main() {
         // Per-span attribution: where the route's wall time actually goes,
         // so a shift in `best_ms` is explainable from this record alone.
         let attribution = best_attribution(&session, sql);
-        json_workloads.push(Jv::Obj(vec![
-            ("name".into(), Jv::Str(name.into())),
-            ("sql".into(), Jv::Str(sql.into())),
-            ("route".into(), Jv::Str(expected_route.into())),
-            ("best_ms".into(), Jv::Num(best * 1e3)),
+        json_workloads.push(Json::Obj(vec![
+            ("name".into(), Json::Str(name.into())),
+            ("sql".into(), Json::Str(sql.into())),
+            ("route".into(), Json::Str(expected_route.into())),
+            ("best_ms".into(), Json::Num(best * 1e3)),
             (
                 "spans".into(),
-                Jv::Arr(
+                Json::Arr(
                     attribution
                         .iter()
                         .map(|(path, us)| {
-                            Jv::Obj(vec![
-                                ("path".into(), Jv::Str(path.clone())),
-                                ("best_us".into(), Jv::Int(*us)),
+                            Json::Obj(vec![
+                                ("path".into(), Json::Str(path.clone())),
+                                ("best_us".into(), Json::Num(*us as f64)),
                             ])
                         })
                         .collect(),
@@ -212,24 +213,24 @@ fn main() {
             .join(" "),
     );
 
-    let record = Jv::Obj(vec![
-        ("bench".into(), Jv::Str("route_mix".into())),
-        ("population_rows".into(), Jv::Int(50_000)),
-        ("sample_rows".into(), Jv::Int(5_000)),
-        ("reps".into(), Jv::Int(REPS as u64)),
-        ("workloads".into(), Jv::Arr(json_workloads)),
-        ("mixed_queries".into(), Jv::Int(MIXED_QUERIES as u64)),
-        ("mixed_elapsed_s".into(), Jv::Num(elapsed)),
+    let record = Json::Obj(vec![
+        ("bench".into(), Json::Str("route_mix".into())),
+        ("population_rows".into(), Json::Num(50_000.0)),
+        ("sample_rows".into(), Json::Num(5_000.0)),
+        ("reps".into(), Json::Num(REPS as f64)),
+        ("workloads".into(), Json::Arr(json_workloads)),
+        ("mixed_queries".into(), Json::Num(MIXED_QUERIES as f64)),
+        ("mixed_elapsed_s".into(), Json::Num(elapsed)),
         (
             "mixed_qps".into(),
-            Jv::Num(MIXED_QUERIES as f64 / elapsed),
+            Json::Num(MIXED_QUERIES as f64 / elapsed),
         ),
         (
             "route_mix".into(),
-            Jv::Obj(
+            Json::Obj(
                 counts
                     .iter()
-                    .map(|(k, c)| ((*k).to_string(), Jv::Int(*c)))
+                    .map(|(k, c)| ((*k).to_string(), Json::Num(*c as f64)))
                     .collect(),
             ),
         ),

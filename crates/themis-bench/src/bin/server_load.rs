@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 use std::time::Instant;
-use themis_bench::report::{self, Jv};
+use themis_bench::report;
 use themis_core::{metrics, Themis, ThemisConfig, ThemisSession};
 use themis_data::{AttrId, Attribute, Domain, Relation, Schema};
 use themis_serve::{Client, Json, ServerConfig, ThemisServer};
@@ -149,7 +149,7 @@ fn main() {
     let p99 = metrics::percentile(&latencies, 99.0) * 1e3;
     let mean = latencies.iter().sum::<f64>() / total as f64 * 1e3;
 
-    let route_mix: Vec<(String, Jv)> = ["sample", "bayes_net", "hybrid", "degraded"]
+    let route_mix: Vec<(String, Json)> = ["sample", "bayes_net", "hybrid", "degraded"]
         .iter()
         .map(|k| {
             let count = stats
@@ -157,7 +157,7 @@ fn main() {
                 .and_then(|r| r.get(k))
                 .and_then(Json::as_u64)
                 .unwrap_or(0);
-            ((*k).to_string(), Jv::Int(count))
+            ((*k).to_string(), Json::Num(count as f64))
         })
         .collect();
 
@@ -177,31 +177,28 @@ fn main() {
         "\nroute mix (server counters): {}",
         route_mix
             .iter()
-            .map(|(k, v)| match v {
-                Jv::Int(n) => format!("{k}={n}"),
-                _ => String::new(),
-            })
+            .map(|(k, v)| format!("{k}={v}"))
             .collect::<Vec<_>>()
             .join(" "),
     );
 
-    let record = Jv::Obj(vec![
-        ("bench".into(), Jv::Str("server_load".into())),
-        ("clients".into(), Jv::Int(clients as u64)),
+    let record = Json::Obj(vec![
+        ("bench".into(), Json::Str("server_load".into())),
+        ("clients".into(), Json::Num(clients as f64)),
         (
             "queries_per_client".into(),
-            Jv::Int(queries_per_client as u64),
+            Json::Num(queries_per_client as f64),
         ),
-        ("total_queries".into(), Jv::Int(total as u64)),
-        ("wall_s".into(), Jv::Num(wall)),
-        ("qps".into(), Jv::Num(qps)),
-        ("p50_ms".into(), Jv::Num(p50)),
-        ("p99_ms".into(), Jv::Num(p99)),
-        ("mean_ms".into(), Jv::Num(mean)),
-        ("route_mix".into(), Jv::Obj(route_mix)),
+        ("total_queries".into(), Json::Num(total as f64)),
+        ("wall_s".into(), Json::Num(wall)),
+        ("qps".into(), Json::Num(qps)),
+        ("p50_ms".into(), Json::Num(p50)),
+        ("p99_ms".into(), Json::Num(p99)),
+        ("mean_ms".into(), Json::Num(mean)),
+        ("route_mix".into(), Json::Obj(route_mix)),
         (
             "workload".into(),
-            Jv::Arr(WORKLOAD.iter().map(|s| Jv::Str((*s).to_string())).collect()),
+            Json::Arr(WORKLOAD.iter().map(|s| Json::Str((*s).to_string())).collect()),
         ),
     ]);
     match report::write_bench_json("server", &record) {

@@ -1,4 +1,7 @@
-//! Console table / series formatting for the experiment binaries.
+//! Console table / series formatting for the experiment binaries, and the
+//! `BENCH_<topic>.json` records the benches write.
+
+use themis_serve::Json;
 
 /// Print a header banner naming the experiment and the paper artifact it
 /// regenerates.
@@ -70,84 +73,6 @@ pub fn summarize(errors: &[f64]) -> Summary {
     }
 }
 
-/// A JSON value for machine-readable bench records (`BENCH_<topic>.json`).
-///
-/// The workspace has no serde; benches build the handful of numbers they
-/// report with this enum and [`write_bench_json`] puts the rendered text at
-/// the repo root where the perf-trajectory tooling expects it.
-#[derive(Debug, Clone)]
-pub enum Jv {
-    Num(f64),
-    Int(u64),
-    Str(String),
-    Arr(Vec<Jv>),
-    /// Keys render in insertion order, so records diff cleanly run-to-run.
-    Obj(Vec<(String, Jv)>),
-}
-
-impl Jv {
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out, 0);
-        out
-    }
-
-    fn render_into(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent + 1);
-        match self {
-            Jv::Num(v) if v.is_finite() => out.push_str(&format!("{v:.6}")),
-            Jv::Num(_) => out.push_str("null"),
-            Jv::Int(v) => out.push_str(&v.to_string()),
-            Jv::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Jv::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    out.push_str(&pad);
-                    item.render_into(out, indent + 1);
-                }
-                if !items.is_empty() {
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(indent));
-                }
-                out.push(']');
-            }
-            Jv::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    out.push_str(&pad);
-                    out.push_str(&format!("\"{k}\": "));
-                    v.render_into(out, indent + 1);
-                }
-                if !fields.is_empty() {
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(indent));
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
 /// Ascend from the current directory to the workspace root, identified by
 /// its `ROADMAP.md`. Benches run from somewhere inside the repo, so this
 /// works without compile-time environment reads.
@@ -163,9 +88,11 @@ pub fn workspace_root() -> Option<std::path::PathBuf> {
     }
 }
 
-/// Write `record` to `BENCH_<topic>.json` at the repo root and return the
-/// path it landed at.
-pub fn write_bench_json(topic: &str, record: &Jv) -> std::io::Result<std::path::PathBuf> {
+/// Write `record` to `BENCH_<topic>.json` at the repo root, in the compact
+/// form of the wire protocol's codec plus a newline, and return the path it
+/// landed at. Keys keep their insertion order, so records diff cleanly run
+/// to run.
+pub fn write_bench_json(topic: &str, record: &Json) -> std::io::Result<std::path::PathBuf> {
     let root = workspace_root().ok_or_else(|| {
         std::io::Error::new(
             std::io::ErrorKind::NotFound,
@@ -173,9 +100,7 @@ pub fn write_bench_json(topic: &str, record: &Jv) -> std::io::Result<std::path::
         )
     })?;
     let path = root.join(format!("BENCH_{topic}.json"));
-    let mut text = record.render();
-    text.push('\n');
-    std::fs::write(&path, text)?;
+    std::fs::write(&path, format!("{record}\n"))?;
     Ok(path)
 }
 
@@ -198,31 +123,34 @@ mod tests {
         assert_eq!(f(f64::INFINITY), "inf");
     }
 
+    // Bench records are `Json` values written in its compact form; these
+    // two pin what the records and CI's `grep '"qps"'` rely on.
     #[test]
     fn json_renders_nested_records() {
-        let record = Jv::Obj(vec![
-            ("bench".into(), Jv::Str("demo".into())),
-            ("n".into(), Jv::Int(300_000)),
+        let record = Json::Obj(vec![
+            ("bench".into(), Json::Str("demo".into())),
+            ("n".into(), Json::Num(300_000.0)),
+            ("qps".into(), Json::Num(1.5)),
             (
                 "timings".into(),
-                Jv::Arr(vec![Jv::Num(1.5), Jv::Num(0.75)]),
+                Json::Arr(vec![Json::Num(1.5), Json::Num(0.75)]),
             ),
         ]);
-        let text = record.render();
-        assert!(text.starts_with('{') && text.ends_with('}'));
-        assert!(text.contains("\"bench\": \"demo\""));
-        assert!(text.contains("\"n\": 300000"));
-        assert!(text.contains("1.500000"));
-        // Insertion order is preserved: "bench" renders before "timings".
-        assert!(text.find("bench").unwrap() < text.find("timings").unwrap());
+        assert_eq!(
+            record.to_string(),
+            r#"{"bench":"demo","n":300000,"qps":1.5,"timings":[1.5,0.75]}"#
+        );
     }
 
     #[test]
     fn json_escapes_strings_and_nulls_non_finite() {
-        assert_eq!(Jv::Str("a\"b\\c\n".into()).render(), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(Jv::Num(f64::NAN).render(), "null");
-        assert_eq!(Jv::Arr(vec![]).render(), "[]");
-        assert_eq!(Jv::Obj(vec![]).render(), "{}");
+        assert_eq!(
+            Json::Str("a\"b\\c\n".into()).to_string(),
+            "\"a\\\"b\\\\c\\n\""
+        );
+        assert_eq!(Json::Num(f64::NAN).to_string(), "null");
+        assert_eq!(Json::Arr(vec![]).to_string(), "[]");
+        assert_eq!(Json::Obj(vec![]).to_string(), "{}");
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //! * [`parameters`] — maximum-likelihood parameter learning with aggregate
 //!   constraints (Eq. 2), simplified to per-factor linear constraints solved
 //!   in topological order (§5.2),
-//! * [`sampling`] — forward/logic sampling and the K-replicate `GROUP BY`
-//!   answering of §4.2.4,
+//! * [`sampling`] — forward/logic sampling of the K replicates of §4.2.4,
 //! * [`modes`] — the five structure/parameter source combinations evaluated
 //!   in §6.6 (SS, SB, BS, AB, BB),
 //! * [`joint`] — a deliberately naive *unsimplified* Eq. 2 solver used only
@@ -39,5 +38,5 @@ pub mod structure;
 pub use inference::{conditional_probability, point_probability};
 pub use modes::{learn, LearnMode, LearnOptions};
 pub use network::{BayesianNetwork, Cpt};
-pub use sampling::{answer_group_by, forward_sample};
+pub use sampling::forward_sample;
 pub use structure::{learn_structure, StructureOptions, StructureSource};

@@ -1,16 +1,16 @@
-//! Forward (logic) sampling and K-replicate GROUP BY answering (§4.2.4).
+//! Forward (logic) sampling of the K BN replicates (§4.2.4).
 //!
 //! `GROUP BY` queries cannot be answered by a single probability lookup; the
 //! paper generates `K` representative samples from the BN, uniformly scales
 //! each to the population size, answers the query on each, and returns the
 //! groups appearing in *all* `K` answers with the aggregate value averaged —
 //! damping both variance and phantom groups (groups returned that do not
-//! exist in the population).
+//! exist in the population). This module draws the replicates; the
+//! consensus over them is `themis_core`'s, shared by every query path.
 
 use crate::network::BayesianNetwork;
 use rand::Rng;
-use std::collections::HashMap;
-use themis_data::{AttrId, GroupKey, Relation};
+use themis_data::Relation;
 
 /// Draw one forward sample of `size` tuples (weights all 1).
 pub fn forward_sample<R: Rng>(net: &BayesianNetwork, size: usize, rng: &mut R) -> Relation {
@@ -51,47 +51,6 @@ pub fn forward_samples<R: Rng>(
         .collect()
 }
 
-/// Answer `GROUP BY attrs, COUNT(*)` per §4.2.4: groups present in all `k`
-/// sample answers, counts averaged.
-pub fn answer_group_by<R: Rng>(
-    net: &BayesianNetwork,
-    attrs: &[AttrId],
-    k: usize,
-    sample_size: usize,
-    population_size: f64,
-    rng: &mut R,
-) -> HashMap<GroupKey, f64> {
-    let mut agreed: Option<HashMap<GroupKey, (f64, usize)>> = None;
-    for _ in 0..k {
-        let mut s = forward_sample(net, sample_size, rng);
-        s.fill_weights(population_size / sample_size as f64);
-        let answer = s.group_counts(attrs);
-        agreed = Some(match agreed {
-            None => answer.into_iter().map(|(g, c)| (g, (c, 1))).collect(),
-            Some(prev) => {
-                let mut next = HashMap::new();
-                for (g, (sum, seen)) in prev {
-                    if let Some(&c) = answer.get(&g) {
-                        next.insert(g, (sum + c, seen + 1));
-                    }
-                }
-                next
-            }
-        });
-    }
-    // k = 0 draws no replicates, so no group reaches consensus.
-    let Some(agreed) = agreed else {
-        return HashMap::new();
-    };
-    agreed
-        .into_iter()
-        .map(|(g, (sum, seen))| {
-            debug_assert_eq!(seen, k);
-            (g, sum / k as f64)
-        })
-        .collect()
-}
-
 fn sample_row<R: Rng>(probs: &[f64], rng: &mut R) -> u32 {
     let mut u: f64 = rng.gen();
     for (i, &p) in probs.iter().enumerate() {
@@ -111,6 +70,7 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use themis_data::paper_example::example_schema;
+    use themis_data::AttrId;
 
     fn chain() -> BayesianNetwork {
         let schema = example_schema();
@@ -164,50 +124,5 @@ mod tests {
         for s in &samples {
             assert!((s.total_weight() - 5_000.0).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn group_by_counts_approximate_population() {
-        let net = chain();
-        let mut rng = SmallRng::seed_from_u64(7);
-        let answer = answer_group_by(&net, &[AttrId(0)], 5, 5_000, 10_000.0, &mut rng);
-        let p0 = point_probability(&net, &[AttrId(0)], &[0]);
-        let got = answer[&vec![0]];
-        assert!(
-            (got - p0 * 10_000.0).abs() < 500.0,
-            "got {got}, expected ≈ {}",
-            p0 * 10_000.0
-        );
-    }
-
-    #[test]
-    fn zero_replicates_yield_empty_answer() {
-        let net = chain();
-        let mut rng = SmallRng::seed_from_u64(9);
-        let answer = answer_group_by(&net, &[AttrId(0)], 0, 100, 1_000.0, &mut rng);
-        assert!(answer.is_empty());
-    }
-
-    #[test]
-    fn rare_groups_require_unanimity() {
-        // With a tiny per-replicate sample, a rare group (probability ~1e-3)
-        // will almost surely miss at least one of the K answers.
-        let schema = themis_data::Schema::new(vec![themis_data::Attribute::new(
-            "x",
-            themis_data::Domain::indexed("x", 2),
-        )]);
-        let net = BayesianNetwork::new(
-            schema,
-            vec![vec![]],
-            vec![Cpt {
-                card: 2,
-                parent_cards: vec![],
-                table: vec![0.999, 0.001],
-            }],
-        );
-        let mut rng = SmallRng::seed_from_u64(8);
-        let answer = answer_group_by(&net, &[AttrId(0)], 10, 200, 1_000.0, &mut rng);
-        assert!(answer.contains_key(&vec![0]));
-        assert!(!answer.contains_key(&vec![1]), "rare group should be damped");
     }
 }

@@ -2,25 +2,30 @@
 //! unit tested.
 //!
 //! The shell wraps a [`ThemisSession`]: `\build` constructs it from the
-//! loaded sample + aggregates, SQL lines run through `session.sql` (so every
-//! answer carries its [`Route`]), `\explain` shows the routing decision
-//! without executing, and `\route` recalls the provenance of the last
-//! answer. Engine configuration is explicit [`EngineOptions`] owned by the
-//! shell — `main` seeds it from `THEMIS_THREADS` once at startup, and
-//! `\threads` mutates it; no library code ever reads the environment.
+//! loaded sample + aggregates, SQL lines run through the session's
+//! `sql_with` (so every answer carries its [`Route`]), `\explain` shows the
+//! routing decision without executing, and `\route` recalls the provenance
+//! of the last answer. Engine configuration is explicit [`EngineOptions`]
+//! owned by the shell alone and passed with every local call — `main` seeds
+//! it from `THEMIS_THREADS` once at startup, and `\threads`, `\deadline` and
+//! `\budget` change it; no library code ever reads the environment.
 //!
 //! `\connect <addr>` switches the shell into client mode against a running
-//! `themis-served`: SQL, `\explain`, and the governance commands all travel
-//! the wire (governance becomes a per-connection `set` on the server), and
-//! `\disconnect` returns to the local model. Answers keep their provenance
-//! footer either way — the `Route` stamp crosses the wire intact.
+//! `themis-served`: SQL, `\explain`, `\ingest` and `\cache stats` run on the
+//! server (one dispatch decides where each of them runs), the governance
+//! commands become a per-connection `set` on the server, and `\disconnect`
+//! returns to the local model. Answers keep their provenance footer either
+//! way — the `Route` stamp crosses the wire intact.
 
 use std::time::Duration;
 use themis_aggregates::{AggregateResult, AggregateSet};
-use themis_core::{saturating_micros, EngineOptions, Route, Themis, ThemisConfig, ThemisSession};
+use themis_core::{
+    saturating_micros, Answer, EngineOptions, IngestReport, LiveSnapshot, Route, Themis,
+    ThemisConfig, ThemisError, ThemisSession,
+};
 use themis_data::ingest::{ingest_csv, ColumnSpec};
 use themis_data::{AttrId, Relation};
-use themis_serve::{Client, SetRequest};
+use themis_serve::{Client, Json, SetRequest};
 
 /// What the loop should do after a line.
 #[derive(Debug, PartialEq)]
@@ -38,6 +43,8 @@ pub struct Session {
     sample: Option<Relation>,
     aggregates: AggregateSet,
     population_size: Option<f64>,
+    /// The one copy of the engine options: every local call passes them,
+    /// and the governance commands push them to a connected server.
     engine: EngineOptions,
     model: Option<ThemisSession>,
     last_route: Option<Route>,
@@ -45,7 +52,7 @@ pub struct Session {
     /// address it was opened against for status messages.
     remote: Option<(String, Client)>,
     /// `\trace on`: every SQL answer also prints its span tree (locally via
-    /// `session.analyze`, remotely via the `"trace":true` request flag).
+    /// `analyze_with`, remotely via the `"trace":true` request flag).
     trace_on: bool,
     /// `\cache on`: answer caching for the local model. Applied to the
     /// running session immediately and re-applied on every `\build`.
@@ -55,6 +62,85 @@ pub struct Session {
 /// Answer-cache capacity for `\cache on` — plenty for an interactive
 /// shell, bounded so a long exploration cannot grow without limit.
 const CACHE_ENTRIES: usize = 256;
+
+/// A command that runs on a model: on the connected server in client mode,
+/// on the local model otherwise (`Session::dispatch` decides).
+#[derive(Clone, Copy)]
+enum Op<'a> {
+    /// A SQL line; `traced` also returns its span tree.
+    Sql { sql: &'a str, traced: bool },
+    /// `\explain <sql>`.
+    Explain(&'a str),
+    /// `\ingest <table> <rows>`.
+    Ingest {
+        table: &'a str,
+        rows: &'a [Vec<String>],
+    },
+    /// `\cache stats`.
+    CacheStats,
+}
+
+/// What an [`Op`] produced.
+enum Reply {
+    /// An executed query, printed with its provenance footer, and the
+    /// span-tree text to append when traced.
+    Answer(Answer, Option<String>),
+    /// Anything else, already rendered.
+    Text(String),
+}
+
+impl Op<'_> {
+    /// Run on the local model with the shell's engine options.
+    fn run_local(
+        self,
+        session: &ThemisSession,
+        engine: &EngineOptions,
+    ) -> Result<Reply, ThemisError> {
+        Ok(match self {
+            Op::Sql { sql, traced: false } => Reply::Answer(session.sql_with(sql, engine)?, None),
+            Op::Sql { sql, traced: true } => {
+                let analyzed = session.analyze_with(sql, engine)?;
+                let trace = format!(
+                    "{}groups: estimated {}, actual {}",
+                    analyzed.trace.render(),
+                    analyzed.estimated_groups,
+                    analyzed.actual_groups
+                );
+                Reply::Answer(analyzed.answer, Some(trace))
+            }
+            Op::Explain(sql) => Reply::Text(session.explain_with(sql, engine)?.to_string()),
+            Op::Ingest { table, rows } => {
+                Reply::Text(describe_ingest(&session.ingest(table, rows)?))
+            }
+            Op::CacheStats => Reply::Text(describe_live(&session.live_snapshot())),
+        })
+    }
+
+    /// Run on the server connected at `addr`; the server applies the
+    /// engine options the shell last pushed to it.
+    fn run_remote(self, client: &mut Client, addr: &str) -> themis_serve::Outcome<Reply> {
+        let answer = |wire: themis_serve::WireAnswer| Answer {
+            result: wire.result,
+            route: wire.route,
+            elapsed: wire.elapsed,
+        };
+        Ok(match self {
+            Op::Sql { sql, traced: false } => {
+                client.query(sql)?.map(|a| Reply::Answer(answer(a), None))
+            }
+            Op::Sql { sql, traced: true } => client
+                .query_traced(sql)?
+                .map(|(a, trace)| Reply::Answer(answer(a), Some(trace.render()))),
+            Op::Explain(sql) => client.explain(sql)?.map(|e| Reply::Text(e.to_string())),
+            Op::Ingest { table, rows } => client
+                .ingest(table, rows)?
+                .map(|report| Reply::Text(describe_ingest(&report))),
+            Op::CacheStats => client
+                .stats()?
+                .map(|stats| Reply::Text(describe_server_cache(addr, &stats))),
+        })
+    }
+}
 
 impl Session {
     /// Fresh session with default engine options.
@@ -87,7 +173,8 @@ impl Session {
         if let Some(cmd) = line.strip_prefix('\\') {
             return self.meta(cmd);
         }
-        Outcome::Continue(self.sql(line))
+        let traced = self.trace_on;
+        Outcome::Continue(self.dispatch(Op::Sql { sql: line, traced }))
     }
 
     fn meta(&mut self, cmd: &str) -> Outcome {
@@ -104,8 +191,8 @@ impl Session {
             Some("budget") => Outcome::Continue(self.cmd_budget(&parts[1..])),
             Some("connect") => Outcome::Continue(self.cmd_connect(&parts[1..])),
             Some("disconnect") => Outcome::Continue(self.cmd_disconnect()),
-            Some("stats") => Outcome::Continue(self.cmd_stats()),
-            Some("metrics") => Outcome::Continue(self.cmd_metrics()),
+            Some("stats") => Outcome::Continue(self.cmd_server_export(Client::stats)),
+            Some("metrics") => Outcome::Continue(self.cmd_server_export(Client::metrics)),
             Some("trace") => Outcome::Continue(self.cmd_trace(&parts[1..])),
             Some("cache") => Outcome::Continue(self.cmd_cache(&parts[1..])),
             Some("ingest") => Outcome::Continue(self.cmd_ingest(&parts[1..])),
@@ -272,7 +359,7 @@ impl Session {
                 )
             })
             .unwrap_or_default();
-        let mut session = ThemisSession::with_engine(model, self.engine.clone());
+        let mut session = ThemisSession::new(model);
         if self.cache_on {
             session.set_answer_cache(CACHE_ENTRIES);
         }
@@ -282,21 +369,15 @@ impl Session {
     }
 
     /// `\threads [<n>]` — show or set the query-engine thread count in this
-    /// shell's [`EngineOptions`] (the running session, if any, is updated in
-    /// place).
+    /// shell's [`EngineOptions`].
     fn cmd_threads(&mut self, args: &[&str]) -> String {
         match args {
             [] => format!("query engine: {}", self.engine.describe()),
             [n] => match n.parse::<usize>() {
                 Ok(t) if t >= 1 => {
                     self.engine.threads = t;
-                    if let Some(session) = &mut self.model {
-                        session.set_engine(self.engine.clone());
-                    }
-                    if let Some(pushed) = self.push_remote_engine() {
-                        return pushed;
-                    }
-                    format!("query engine: {}", self.engine.describe())
+                    self.push_remote_engine()
+                        .unwrap_or_else(|| format!("query engine: {}", self.engine.describe()))
                 }
                 _ => "thread count must be a positive integer".into(),
             },
@@ -354,17 +435,11 @@ impl Session {
         }
     }
 
-    /// Push the shell's engine options into the built session (if any) and
-    /// the connected server (if any), and report the governance state that
-    /// resulted.
+    /// Push the shell's engine options to the connected server (if any),
+    /// and report the governance state that resulted.
     fn apply_engine(&mut self) -> String {
-        if let Some(session) = &mut self.model {
-            session.set_engine(self.engine.clone());
-        }
-        if let Some(pushed) = self.push_remote_engine() {
-            return pushed;
-        }
-        format!("governance: {}", self.engine.limits.describe())
+        self.push_remote_engine()
+            .unwrap_or_else(|| format!("governance: {}", self.engine.limits.describe()))
     }
 
     /// Mirror the shell's engine options to the connected server as a
@@ -372,7 +447,6 @@ impl Session {
     /// (`None` when there is no connection, so callers fall through to the
     /// local description).
     fn push_remote_engine(&mut self) -> Option<String> {
-        let (addr, client) = self.remote.as_mut()?;
         let request = SetRequest {
             // Through the saturating helper (not a lossy `as` cast) so the
             // value survives the f64 wire encoding exactly.
@@ -388,16 +462,20 @@ impl Session {
             morsel_rows: None,
             fault: None,
         };
-        let addr = addr.clone();
-        Some(match client.set(&request) {
-            Ok(Ok(_)) => format!(
-                "governance on {addr}: {} ({} threads)",
-                self.engine.limits.describe(),
-                self.engine.threads
-            ),
-            Ok(Err(e)) => format!("server rejected settings: {e}"),
-            Err(e) => self.drop_remote(&format!("connection to {addr} lost: {e}")),
-        })
+        let applied = format!(
+            "{} ({} threads)",
+            self.engine.limits.describe(),
+            self.engine.threads
+        );
+        let pushed = self.on_server(|client, addr| {
+            client.set(&request).map(|set| {
+                Ok(match set {
+                    Ok(_) => format!("governance on {addr}: {applied}"),
+                    Err(e) => format!("server rejected settings: {e}"),
+                })
+            })
+        })?;
+        Some(pushed.unwrap_or_else(|lost| lost))
     }
 
     /// `\connect <addr>` — switch into client mode against a running
@@ -430,31 +508,20 @@ impl Session {
         }
     }
 
-    /// `\stats` — the connected server's counters (connections, queries,
-    /// per-route and per-degrade-reason tallies), verbatim.
-    fn cmd_stats(&mut self) -> String {
-        let Some((addr, client)) = self.remote.as_mut() else {
-            return "not connected (\\connect <host:port>)".into();
-        };
-        let addr = addr.clone();
-        match client.stats() {
-            Ok(Ok(stats)) => format!("server {addr}: {stats}"),
-            Ok(Err(e)) => format!("error: {e}"),
-            Err(e) => self.drop_remote(&format!("connection to {addr} lost: {e}")),
-        }
-    }
-
-    /// `\metrics` — the connected server's metrics registry export:
-    /// counters, gauges, and the query-latency histogram (p50/p90/p99).
-    fn cmd_metrics(&mut self) -> String {
-        let Some((addr, client)) = self.remote.as_mut() else {
-            return "not connected (\\connect <host:port>)".into();
-        };
-        let addr = addr.clone();
-        match client.metrics() {
-            Ok(Ok(metrics)) => format!("server {addr}: {metrics}"),
-            Ok(Err(e)) => format!("error: {e}"),
-            Err(e) => self.drop_remote(&format!("connection to {addr} lost: {e}")),
+    /// `\stats` / `\metrics` — one of the connected server's exports,
+    /// verbatim: its counters (connections, queries, per-route and
+    /// per-degrade-reason tallies) or its metrics registry (counters,
+    /// gauges, and the query-latency histogram with p50/p90/p99).
+    fn cmd_server_export(
+        &mut self,
+        export: fn(&mut Client) -> themis_serve::Outcome<Json>,
+    ) -> String {
+        let text = self.on_server(|client, addr| {
+            export(client).map(|json| json.map(|j| format!("server {addr}: {j}")))
+        });
+        match text {
+            Some(Ok(text) | Err(text)) => text,
+            None => "not connected (\\connect <host:port>)".into(),
         }
     }
 
@@ -488,6 +555,7 @@ impl Session {
                 if let Some(session) = &mut self.model {
                     session.set_answer_cache(CACHE_ENTRIES);
                 }
+                // Names where the cache lives; nothing runs on a model here.
                 if self.remote.is_some() {
                     return "cache: on for the local model; the server owns its own cache".into();
                 }
@@ -500,50 +568,9 @@ impl Session {
                 }
                 "cache: off (contents dropped)".into()
             }
-            ["stats"] => self.cmd_cache_stats(),
+            ["stats"] => self.dispatch(Op::CacheStats),
             _ => "usage: \\cache [on|off|stats]".into(),
         }
-    }
-
-    /// The `\cache stats` body: server counters when connected, the local
-    /// session's live snapshot otherwise.
-    fn cmd_cache_stats(&mut self) -> String {
-        if let Some((addr, client)) = self.remote.as_mut() {
-            let addr = addr.clone();
-            return match client.stats() {
-                Ok(Ok(stats)) => {
-                    let cache = stats.get("cache").map(|j| j.to_string());
-                    let ingest = stats.get("ingest").map(|j| j.to_string());
-                    match (cache, ingest) {
-                        (Some(c), Some(i)) => {
-                            format!("server {addr}:\n  cache: {c}\n  ingest: {i}")
-                        }
-                        _ => format!("server {addr} reports no cache section: {stats}"),
-                    }
-                }
-                Ok(Err(e)) => format!("error: {e}"),
-                Err(e) => self.drop_remote(&format!("connection to {addr} lost: {e}")),
-            };
-        }
-        let Some(session) = &self.model else {
-            return "build the model first (\\build)".into();
-        };
-        let s = session.live_snapshot();
-        format!(
-            "cache: {} hits, {} misses, {} bypasses, {} evictions, {} invalidations, {} entries\n\
-             ingest: {} batches, {} rows, generation {}, {} replicates resimulated, {} kept",
-            s.cache_hits,
-            s.cache_misses,
-            s.cache_bypasses,
-            s.cache_evictions,
-            s.cache_invalidations,
-            s.cache_entries,
-            s.ingest_batches,
-            s.ingest_rows,
-            s.generation,
-            s.replicates_resimulated,
-            s.replicates_kept,
-        )
     }
 
     /// `\ingest <table> <v,v,...> [<v,v,...> ...]` — append labeled rows to
@@ -561,27 +588,7 @@ impl Session {
             .iter()
             .map(|spec| spec.split(',').map(|v| v.trim().to_string()).collect())
             .collect();
-        if let Some((addr, client)) = self.remote.as_mut() {
-            let addr = addr.clone();
-            return match client.ingest(table, &rows) {
-                Ok(Ok(report)) => describe_ingest(&report),
-                Ok(Err(e)) => format!("error: {e}"),
-                Err(e) => self.drop_remote(&format!("connection to {addr} lost: {e}")),
-            };
-        }
-        let Some(session) = &self.model else {
-            return "build the model first (\\build)".into();
-        };
-        match session.ingest(table, &rows) {
-            Ok(report) => describe_ingest(&report),
-            Err(e) => format!("error: {e}"),
-        }
-    }
-
-    /// Tear down a dead connection and return the message to show.
-    fn drop_remote(&mut self, message: &str) -> String {
-        self.remote = None;
-        message.to_string()
+        self.dispatch(Op::Ingest { table, rows: &rows })
     }
 
     /// `\explain <sql>` — show where the query would be routed, without
@@ -590,21 +597,63 @@ impl Session {
         if sql.is_empty() {
             return "usage: \\explain <sql>".into();
         }
-        if let Some((addr, client)) = self.remote.as_mut() {
-            let addr = addr.clone();
-            return match client.explain(sql) {
-                Ok(Ok(explain)) => explain.to_string(),
-                Ok(Err(e)) => format!("error: {e}"),
-                Err(e) => self.drop_remote(&format!("connection to {addr} lost: {e}")),
-            };
-        }
-        let Some(session) = &self.model else {
-            return "build the model first (\\build)".into();
+        self.dispatch(Op::Explain(sql))
+    }
+
+    /// Run `op` on the connected server if there is one, else on the local
+    /// model with the shell's engine options. Every answer gets the same
+    /// provenance footer, naming the server when it ran there.
+    fn dispatch(&mut self, op: Op<'_>) -> String {
+        let place = match &self.remote {
+            Some((addr, _)) => format!(" on {addr}"),
+            None => String::new(),
         };
-        match session.explain(sql) {
-            Ok(explain) => explain.to_string(),
-            Err(e) => format!("error: {e}"),
+        let reply = match self.on_server(|client, addr| op.run_remote(client, addr)) {
+            Some(reply) => reply,
+            None => match &self.model {
+                Some(session) => op
+                    .run_local(session, &self.engine)
+                    .map_err(|e| format!("error: {e}")),
+                None => return "build the model first (\\build)".into(),
+            },
+        };
+        match reply {
+            Ok(Reply::Answer(answer, trace)) => {
+                let mut out = format!(
+                    "{}-- {} [{:.1} ms{place}]",
+                    answer.result,
+                    answer.route,
+                    answer.elapsed.as_secs_f64() * 1e3
+                );
+                if let Some(trace) = trace {
+                    out.push_str("\ntrace:\n");
+                    out.push_str(&trace);
+                }
+                self.last_route = Some(answer.route);
+                out
+            }
+            Ok(Reply::Text(text)) | Err(text) => text,
         }
+    }
+
+    /// Run `call` on the connected server: `None` when not connected, else
+    /// its reply or the message to print instead (`error: ...` for an error
+    /// the server reports). A lost connection is dropped here, the one
+    /// place that does.
+    fn on_server<T>(
+        &mut self,
+        call: impl FnOnce(&mut Client, &str) -> themis_serve::Outcome<T>,
+    ) -> Option<Result<T, String>> {
+        let (addr, client) = self.remote.as_mut()?;
+        Some(match call(client, addr) {
+            Ok(Ok(reply)) => Ok(reply),
+            Ok(Err(e)) => Err(format!("error: {e}")),
+            Err(e) => {
+                let lost = format!("connection to {addr} lost: {e}");
+                self.remote = None;
+                Err(lost)
+            }
+        })
     }
 
     /// `\route` — the provenance of the last executed query.
@@ -653,76 +702,6 @@ impl Session {
         }
         out
     }
-
-    fn sql(&mut self, sql: &str) -> String {
-        let trace_on = self.trace_on;
-        if let Some((addr, client)) = self.remote.as_mut() {
-            let addr = addr.clone();
-            if trace_on {
-                return match client.query_traced(sql) {
-                    Ok(Ok((answer, trace))) => {
-                        let footer = format!(
-                            "-- {} [{:.1} ms on {addr}]",
-                            answer.route,
-                            answer.elapsed.as_secs_f64() * 1e3
-                        );
-                        self.last_route = Some(answer.route.clone());
-                        format!("{}{footer}\ntrace:\n{}", answer.result, trace.render())
-                    }
-                    Ok(Err(e)) => format!("error: {e}"),
-                    Err(e) => self.drop_remote(&format!("connection to {addr} lost: {e}")),
-                };
-            }
-            return match client.query(sql) {
-                Ok(Ok(answer)) => {
-                    let footer = format!(
-                        "-- {} [{:.1} ms on {addr}]",
-                        answer.route,
-                        answer.elapsed.as_secs_f64() * 1e3
-                    );
-                    self.last_route = Some(answer.route.clone());
-                    format!("{}{footer}", answer.result)
-                }
-                Ok(Err(e)) => format!("error: {e}"),
-                Err(e) => self.drop_remote(&format!("connection to {addr} lost: {e}")),
-            };
-        }
-        let Some(session) = &self.model else {
-            return "build the model first (\\build)".into();
-        };
-        if trace_on {
-            return match session.analyze(sql) {
-                Ok(analyzed) => {
-                    let footer = format!(
-                        "-- {} [{:.1} ms]",
-                        analyzed.answer.route,
-                        analyzed.answer.elapsed.as_secs_f64() * 1e3
-                    );
-                    self.last_route = Some(analyzed.answer.route.clone());
-                    format!(
-                        "{}{footer}\ntrace:\n{}groups: estimated {}, actual {}",
-                        analyzed.answer.result,
-                        analyzed.trace.render(),
-                        analyzed.estimated_groups,
-                        analyzed.actual_groups
-                    )
-                }
-                Err(e) => format!("error: {e}"),
-            };
-        }
-        match session.sql(sql) {
-            Ok(answer) => {
-                let footer = format!(
-                    "-- {} [{:.1} ms]",
-                    answer.route,
-                    answer.elapsed.as_secs_f64() * 1e3
-                );
-                self.last_route = Some(answer.route.clone());
-                format!("{}{footer}", answer.result)
-            }
-            Err(e) => format!("error: {e}"),
-        }
-    }
 }
 
 impl Default for Session {
@@ -732,7 +711,7 @@ impl Default for Session {
 }
 
 /// One line summarizing an applied ingest, shared by local and client mode.
-fn describe_ingest(report: &themis_core::IngestReport) -> String {
+fn describe_ingest(report: &IngestReport) -> String {
     format!(
         "ingested {} rows into {} (sample now {} rows, generation {}, BN {}, \
          {} replicates kept, {} cached answers dropped)",
@@ -744,6 +723,37 @@ fn describe_ingest(report: &themis_core::IngestReport) -> String {
         report.replicates_kept,
         report.cache_entries_dropped,
     )
+}
+
+/// The `\cache stats` body for the local model: its cache and ingest
+/// counters.
+fn describe_live(s: &LiveSnapshot) -> String {
+    format!(
+        "cache: {} hits, {} misses, {} bypasses, {} evictions, {} invalidations, {} entries\n\
+         ingest: {} batches, {} rows, generation {}, {} replicates resimulated, {} kept",
+        s.cache_hits,
+        s.cache_misses,
+        s.cache_bypasses,
+        s.cache_evictions,
+        s.cache_invalidations,
+        s.cache_entries,
+        s.ingest_batches,
+        s.ingest_rows,
+        s.generation,
+        s.replicates_resimulated,
+        s.replicates_kept,
+    )
+}
+
+/// The `\cache stats` body for a server: the cache and ingest sections of
+/// its counters.
+fn describe_server_cache(addr: &str, stats: &Json) -> String {
+    match (stats.get("cache"), stats.get("ingest")) {
+        (Some(cache), Some(ingest)) => {
+            format!("server {addr}:\n  cache: {cache}\n  ingest: {ingest}")
+        }
+        _ => format!("server {addr} reports no cache section: {stats}"),
+    }
 }
 
 const HELP: &str = "\
@@ -904,10 +914,10 @@ mod tests {
             panic!()
         };
         assert!(out.contains("positive integer"), "{out}");
-        // A built session picks the new options up immediately.
+        // A built session runs with the shell's options from the next call.
         let mut s = full_session();
         s.handle("\\threads 3");
-        assert_eq!(s.model.as_ref().unwrap().engine().threads, 3);
+        assert_eq!(s.engine.threads, 3);
     }
 
     #[test]
@@ -1023,9 +1033,9 @@ mod tests {
         // A 1-row budget trips on the 4-row sample scan itself.
         s.handle("\\budget rows 1");
         assert_eq!(
-            s.model.as_ref().unwrap().engine().limits.max_rows,
+            s.engine.limits.max_rows,
             Some(1),
-            "built session must pick armed limits up immediately"
+            "the shell's armed limits apply to the built session's next query"
         );
         let Outcome::Continue(out) =
             s.handle("SELECT state, COUNT(*) FROM flights GROUP BY state")

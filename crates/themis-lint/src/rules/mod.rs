@@ -73,7 +73,8 @@ pub fn run_file_rules(file: &SourceFile, lexed: &Lexed) -> Vec<Finding> {
 ///
 /// Recognized binding shapes (a deliberate, documented subset):
 ///   - type ascription: `name: Type<...>`, `name: &Type`, `name: &mut Type`,
-///     `name: &'a Type` — covers `let`s, parameters, and struct fields;
+///     `name: &'a Type` — covers `let`s, parameters, and struct fields —
+///     also when wrapped once in `Option<..>` (`agreed: Option<HashMap<..>>`);
 ///   - constructor inference: `let [mut] name = Type::...`;
 ///   - for `Vec` only, macro inference: `let [mut] name = vec![...]`.
 ///
@@ -107,17 +108,12 @@ fn bindings(tokens: &[Token], type_names: &[&str]) -> Vec<(String, usize)> {
     };
     for (i, t) in tokens.iter().enumerate() {
         let Tok::Ident(name) = &t.tok else { continue };
-        // `name : [& [lifetime] [mut]] [path::]* Type`
+        // `name : [&..] [path::]* Type`, or the same inside one `Option<..>`
         if matches!(tokens.get(i + 1).map(|t| &t.tok), Some(Tok::Punct(':'))) {
-            let mut j = i + 2;
-            while matches!(
-                tokens.get(j).map(|t| &t.tok),
-                Some(Tok::Punct('&')) | Some(Tok::Lifetime)
-            ) || matches!(tokens.get(j).map(|t| &t.tok), Some(Tok::Ident(s)) if s == "mut")
-            {
-                j += 1;
+            let mut j = skip_path_prefix(tokens, skip_refs(tokens, i + 2));
+            if ident_at(tokens, j, "Option") && punct_at(tokens, j + 1, '<') {
+                j = skip_path_prefix(tokens, skip_refs(tokens, j + 2));
             }
-            j = skip_path_prefix(tokens, j);
             if is_type(tokens.get(j)) {
                 found.push((name.clone(), j));
             }
@@ -185,6 +181,18 @@ fn type_args_name(tokens: &[Token], ty: usize, arg: &str) -> bool {
         }
     }
     false
+}
+
+/// Skip the `&`, lifetime and `mut` tokens that may open a written type.
+fn skip_refs(tokens: &[Token], mut j: usize) -> usize {
+    while matches!(
+        tokens.get(j).map(|t| &t.tok),
+        Some(Tok::Punct('&')) | Some(Tok::Lifetime)
+    ) || ident_at(tokens, j, "mut")
+    {
+        j += 1;
+    }
+    j
 }
 
 /// Skip `ident ::` pairs so `std::collections::HashMap` matches on its
@@ -264,6 +272,19 @@ mod tests {
         assert!(rels.contains("r"));
         let maps = typed_idents(&lexed.tokens, &["HashMap", "HashSet"]);
         assert!(maps.contains("other"));
+    }
+
+    #[test]
+    fn typed_idents_see_through_option() {
+        let src = "fn f(acc: &mut Option<HashMap<K, V>>) {\n    let mut agreed: Option<std::collections::HashMap<u32, f64>> = None;\n    let plain: Option<u32> = None;\n}\n";
+        let lexed = lex(src);
+        let maps = typed_idents(&lexed.tokens, &["HashMap"]);
+        assert!(maps.contains("acc"));
+        assert!(maps.contains("agreed"));
+        assert!(!maps.contains("plain"));
+        let float_maps = typed_idents_with_arg(&lexed.tokens, &["HashMap"], "f64");
+        assert!(float_maps.contains("agreed"));
+        assert!(!float_maps.contains("acc"));
     }
 
     #[test]

@@ -212,19 +212,6 @@ impl QueryGuard {
         }
     }
 
-    /// A guard that never trips (for the unguarded oracle path).
-    pub fn unlimited() -> Self {
-        QueryGuard {
-            deadline: None,
-            cancel: None,
-            max_rows: None,
-            max_groups: None,
-            rows: AtomicU64::new(0),
-            fault: FaultPlan::None,
-            active: false,
-        }
-    }
-
     /// Cancel/deadline check; called at morsel boundaries and every
     /// [`GUARD_STRIDE`] folded rows.
     pub fn check(&self) -> Result<(), ExecError> {
