@@ -1,6 +1,5 @@
 //! Query routing (§4.3): decide which debiasing component answers a query,
-//! and the single replicate-agreement merge every BN-backed answer path
-//! shares.
+//! and merge the BN replicates' agreement into the answer.
 //!
 //! The paper's central claim is that neither debiasing technique dominates:
 //! heavy hitters present in the sample are best answered by the reweighted
@@ -9,14 +8,25 @@
 //! that decision explicit and observable: `decide` maps a parsed query to
 //! a decision before anything executes (that is what
 //! `ThemisSession::explain` surfaces), execution stamps the resulting
-//! [`Route`] onto every [`crate::Answer`], and every replicate merge (the
-//! session's `sql` and `sql_bn_only`, the model's `group_by`) funnels
-//! through one `intersect_into` agreement step.
+//! [`Route`] onto every [`crate::Answer`].
+//!
+//! Every BN-backed SQL answer (the session's hybrid `sql` and
+//! `sql_bn_only`) asks `replicate_consensus` for the groups all K
+//! replicates agree on. The agreement itself happens in *code space*
+//! inside the engine ([`themis_query::Agreement`]): the query is compiled
+//! once against the replicates' shared schema, each replicate's groups are
+//! intersected with the running agreement by their `u32` domain codes and
+//! their values summed in replicate order, and only the surviving groups
+//! are labelled, once, before the union with the sample's groups. This
+//! module keeps what is routing: the sample union, degradation, the phase
+//! deadline and cancel check between replicates, and the spans. The
+//! attribute-level `GROUP BY` of the model API agrees on its own
+//! `group_counts` maps through `intersect_into`.
 
 use crate::model::Themis;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
 use std::sync::Arc;
@@ -24,7 +34,8 @@ use themis_bn::point_probability;
 use themis_data::{AttrId, GroupKey, Relation};
 use std::time::Instant;
 use themis_query::{
-    cmp_group_prefix, Catalog, EngineOptions, ExecError, FaultPlan, QueryResult, Trip, Value,
+    cmp_group_prefix, Agreement, Catalog, EngineOptions, ExecError, FaultPlan, QueryResult, Trip,
+    Value,
 };
 use themis_sql::{AggFunc, Comparison, Literal, Predicate, Query, SelectItem};
 
@@ -471,10 +482,10 @@ pub(crate) fn simulate_replicates(model: &Themis) -> Vec<Arc<Relation>> {
     .collect()
 }
 
-/// The one replicate-agreement step behind every K-replicate answer (the
-/// hybrid SQL union, BN-only SQL, and attribute-level `GROUP BY`): after
-/// folding all K maps through this, a group survives only if present in
-/// *every* replicate, with its values combined by `add`.
+/// The replicate-agreement step of the attribute-level `GROUP BY`
+/// ([`hybrid_group_by`]): after folding all K maps through this, a group
+/// survives only if present in *every* replicate, with its values combined
+/// by `add`.
 pub(crate) fn intersect_into<K: Eq + Hash, V>(
     acc: &mut Option<HashMap<K, V>>,
     next: HashMap<K, V>,
@@ -493,27 +504,22 @@ pub(crate) fn intersect_into<K: Eq + Hash, V>(
     }
 }
 
-/// Groups agreed by all replicates for a SQL query, with per-aggregate
-/// value *sums* (callers divide by K to average). Also hands back the first
-/// replicate's result as a column/shape template. `None` when there are no
-/// replicates.
-struct Consensus {
-    template: QueryResult,
-    groups: HashMap<Vec<String>, Vec<f64>>,
-}
-
+/// The groups all replicates agree on for a SQL query, K-averaged and
+/// labelled (`None` when there are no replicates). The query is compiled
+/// once against the replicates' shared schema, and each replicate is one
+/// engine execution (its own guard, `replicate` span and counters); groups
+/// are agreed in code space inside the engine and labelled once at the end.
 fn replicate_consensus(
     replicates: &[Arc<Relation>],
     query: &Query,
     opts: &EngineOptions,
-) -> Result<Option<Consensus>, ExecError> {
-    // The engine's guard is re-armed per `run_on`, so its deadline bounds
+) -> Result<Option<QueryResult>, ExecError> {
+    // The engine's guard is re-armed per replicate, so its deadline bounds
     // one replicate at a time. This phase-level deadline bounds the *whole*
     // consensus loop: K nearly-on-budget replicates must not stretch a
     // 250ms deadline into K × 250ms.
     let phase_deadline = opts.limits.deadline.map(|d| Instant::now() + d);
-    let mut template: Option<QueryResult> = None;
-    let mut agreed: Option<HashMap<Vec<String>, Vec<f64>>> = None;
+    let mut agreement: Option<Agreement> = None;
     for replicate in replicates {
         if opts.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
             return Err(Trip::Cancelled.into());
@@ -524,29 +530,13 @@ fn replicate_consensus(
         // One child span per replicate (the loop is serial, so span
         // nesting stays well-formed at every thread count).
         let _span = opts.trace.span("replicate");
-        let result = run_on(replicate, query, opts)?;
-        let m = result.to_map();
-        if template.is_none() {
-            template = Some(result);
-        }
-        intersect_into(&mut agreed, m, |sums, vals| {
-            for (a, v) in sums.iter_mut().zip(vals) {
-                *a += v;
-            }
-        });
+        let agreement = match &mut agreement {
+            Some(agreement) => agreement,
+            None => agreement.insert(Agreement::compile(query, replicate)?),
+        };
+        agreement.fold(replicate, opts)?;
     }
-    Ok(template.map(|template| Consensus {
-        template,
-        groups: agreed.unwrap_or_default(),
-    }))
-}
-
-/// Turn a consensus group into an output row (labels, then K-averaged
-/// aggregate values).
-fn consensus_row(group: Vec<String>, sums: Vec<f64>, k: f64) -> Vec<Value> {
-    let mut row: Vec<Value> = group.into_iter().map(Value::Str).collect();
-    row.extend(sums.into_iter().map(|s| Value::Num(s / k)));
-    row
+    Ok(agreement.map(Agreement::finish))
 }
 
 /// The query with `ORDER BY` / `LIMIT` stripped: merge paths must union
@@ -561,8 +551,9 @@ fn without_order_limit(query: &Query) -> Query {
 }
 
 /// Re-impose the *original* query's ordering on merged rows: sort by the
-/// borrowed group prefix for determinism (consensus groups come out of a
-/// hash map), then apply `ORDER BY` / `LIMIT` if the query had them.
+/// borrowed group prefix (the sample's rows and the consensus rows are each
+/// in group order, but not together), then apply `ORDER BY` / `LIMIT` if the
+/// query had them.
 fn finish_merged(result: &mut QueryResult, query: &Query) -> Result<(), ExecError> {
     let arity = result.group_arity;
     result.rows.sort_by(|a, b| cmp_group_prefix(a, b, arity));
@@ -600,17 +591,19 @@ pub(crate) fn hybrid_sql(
         replicate_consensus(replicates, &inner, opts)
     };
     match consensus {
-        Ok(Some(consensus)) => {
+        Ok(Some(agreed)) => {
             let _span = trace.span("merge");
-            let existing: HashSet<Vec<String>> = merged.to_map().into_keys().collect();
-            let k = replicates.len() as f64;
-            // themis-lint: allow(deterministic-iteration) reason=finish_merged below sorts merged rows by group prefix before ORDER BY/LIMIT applies
-            for (group, sums) in consensus.groups {
-                if existing.contains(&group) {
-                    continue;
+            // The sample part comes out of the engine sorted by group
+            // labels, so membership is a binary search on its rows.
+            let arity = merged.group_arity;
+            for row in agreed.rows {
+                let in_sample = merged.rows[..sample_groups]
+                    .binary_search_by(|probe| cmp_group_prefix(probe, &row, arity))
+                    .is_ok();
+                if !in_sample {
+                    merged.rows.push(row);
+                    bn_groups_added += 1;
                 }
-                merged.rows.push(consensus_row(group, sums, k));
-                bn_groups_added += 1;
             }
             trace.add_counts(&[
                 ("bn_groups_added", bn_groups_added as u64),
@@ -661,19 +654,11 @@ pub(crate) fn bn_only_sql(
     replicates: &[Arc<Relation>],
 ) -> Result<QueryResult, ExecError> {
     let inner = without_order_limit(query);
-    let Some(consensus) = replicate_consensus(replicates, &inner, opts)? else {
+    let Some(mut out) = replicate_consensus(replicates, &inner, opts)? else {
         return Err(ExecError::Unsupported(
             "k_samples = 0: no BN replicates to answer from".into(),
         ));
     };
-    let k = replicates.len() as f64;
-    let mut out = consensus.template;
-    out.rows = consensus
-        // themis-lint: allow(deterministic-iteration) reason=finish_merged below sorts rows by group prefix before ORDER BY/LIMIT applies
-        .groups
-        .into_iter()
-        .map(|(group, sums)| consensus_row(group, sums, k))
-        .collect();
     finish_merged(&mut out, query)?;
     Ok(out)
 }
@@ -693,7 +678,6 @@ pub(crate) fn hybrid_group_by(
         intersect_into(&mut agreed, replicate.group_counts(attrs), |a, v| *a += v);
     }
     let k = replicates.len() as f64;
-    // themis-lint: allow(deterministic-iteration) reason=each agreed group is inserted under its own key and nothing is summed across groups, so hash order cannot change the answer map
     for (group, sum) in agreed.unwrap_or_default() {
         answer.entry(group).or_insert(sum / k);
     }

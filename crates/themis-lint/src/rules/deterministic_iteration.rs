@@ -10,12 +10,18 @@
 //! into a `BTreeMap`/`BTreeSet`/`BinaryHeap`). The sinks are:
 //!
 //! - `push`, `collect`, `extend`, for every tracked map;
-//! - `sum`, `fold`, `product` and `+=`, for a map whose *written* type
-//!   arguments carry `f64` (`HashMap<K, f64>`): f64 addition is not
-//!   associative, so a fold in hash order can differ between two maps with
-//!   the same entries. That is how BIC family scores once broke near-ties
-//!   differently from build to build. A map whose value type is inferred
-//!   is invisible to this half of the rule.
+//! - the method calls `.sum(`, `.fold(`, `.product(` and the operator `+=`,
+//!   for a map whose *written* type arguments carry `f64`
+//!   (`HashMap<K, f64>`): f64 addition is not associative, so a fold in
+//!   hash order can differ between two maps with the same entries. That is
+//!   how BIC family scores once broke near-ties differently from build to
+//!   build. A map whose value type is inferred is invisible to this half of
+//!   the rule, and a plain identifier named `sum` is not a fold.
+//!
+//! Map bindings are scoped ([`crate::rules::ScopedIdents`]): a parameter or
+//! `let` is a map only inside the `fn` that declares it, so another `fn`'s
+//! closure parameter of the same name is not one; struct fields are maps
+//! everywhere in the file.
 //!
 //! The window is a fixed forward span of source lines — a deliberate
 //! heuristic: a sort performed inside a callee (e.g. a constructor that
@@ -23,7 +29,7 @@
 //! suppression at the site.
 
 use crate::lexer::{Lexed, Tok};
-use crate::rules::{ident_in_window, punct_at, typed_idents, typed_idents_with_arg, Finding};
+use crate::rules::{ident_in_window, method_call_in_window, punct_at, Finding, ScopedIdents};
 use crate::source::{FileClass, SourceFile};
 use std::collections::BTreeSet;
 
@@ -34,8 +40,8 @@ const WINDOW: u32 = 15;
 
 const ITER_METHODS: [&str; 6] = ["iter", "keys", "values", "into_iter", "drain", "iter_mut"];
 const SINKS: [&str; 3] = ["push", "collect", "extend"];
-/// Folds whose result depends on order when the values are f64; `+=` is
-/// matched as a token pair.
+/// Folds whose result depends on order when the values are f64, matched
+/// only as method calls (`.sum(`); `+=` is matched as a token pair.
 const FLOAT_FOLDS: [&str; 3] = ["sum", "fold", "product"];
 const ORDER_RESTORERS: [&str; 9] = [
     "sort",
@@ -54,11 +60,11 @@ pub fn check(file: &SourceFile, lexed: &Lexed) -> Vec<Finding> {
         return Vec::new();
     };
     let toks = &lexed.tokens;
-    let maps = typed_idents(toks, &["HashMap", "HashSet"]);
+    let maps = ScopedIdents::new(toks, &["HashMap", "HashSet"], None);
     if maps.is_empty() {
         return Vec::new();
     }
-    let float_maps = typed_idents_with_arg(toks, &["HashMap", "HashSet"], "f64");
+    let float_maps = ScopedIdents::new(toks, &["HashMap", "HashSet"], Some("f64"));
     let mut out = Vec::new();
     let mut flagged_lines: BTreeSet<u32> = BTreeSet::new();
     for (i, t) in toks.iter().enumerate() {
@@ -66,7 +72,7 @@ pub fn check(file: &SourceFile, lexed: &Lexed) -> Vec<Finding> {
             continue;
         }
         let Tok::Ident(name) = &t.tok else { continue };
-        let site = if maps.contains(name.as_str())
+        let site = if maps.contains(name, i)
             && punct_at(toks, i + 1, '.')
             && matches!(
                 toks.get(i + 2).map(|t| &t.tok),
@@ -87,8 +93,8 @@ pub fn check(file: &SourceFile, lexed: &Lexed) -> Vec<Finding> {
                 "{kind} over hash-ordered `{map_name}` feeds push/collect/extend with no \
                  adjacent sort or BTree collection; hash order must not reach results"
             )
-        } else if float_maps.contains(map_name)
-            && (ident_in_window(toks, t.line, WINDOW, &FLOAT_FOLDS)
+        } else if float_maps.contains(map_name, i)
+            && (method_call_in_window(toks, t.line, WINDOW, &FLOAT_FOLDS)
                 || plus_eq_in_window(toks, t.line, WINDOW))
         {
             format!(
@@ -123,16 +129,16 @@ fn plus_eq_in_window(toks: &[crate::lexer::Token], line: u32, lines: u32) -> boo
 fn for_loop_over_map<'a>(
     toks: &'a [crate::lexer::Token],
     i: usize,
-    maps: &BTreeSet<String>,
+    maps: &ScopedIdents,
 ) -> Option<&'a str> {
     // Scan the header tokens up to the loop body `{`, looking for `in` then
     // a tracked ident among the following tokens.
     let mut saw_in = false;
-    for t in toks.iter().skip(i + 1).take(40) {
+    for (j, t) in toks.iter().enumerate().skip(i + 1).take(40) {
         match &t.tok {
             Tok::Punct('{') => return None,
             Tok::Ident(s) if s == "in" => saw_in = true,
-            Tok::Ident(s) if saw_in && maps.contains(s.as_str()) => return Some(s),
+            Tok::Ident(s) if saw_in && maps.contains(s, j) => return Some(s),
             _ => {}
         }
     }

@@ -83,7 +83,7 @@ pub fn run_file_rules(file: &SourceFile, lexed: &Lexed) -> Vec<Finding> {
 pub fn typed_idents(tokens: &[Token], type_names: &[&str]) -> BTreeSet<String> {
     bindings(tokens, type_names)
         .into_iter()
-        .map(|(name, _)| name)
+        .map(|b| b.name)
         .collect()
 }
 
@@ -94,14 +94,111 @@ pub fn typed_idents(tokens: &[Token], type_names: &[&str]) -> BTreeSet<String> {
 pub fn typed_idents_with_arg(tokens: &[Token], type_names: &[&str], arg: &str) -> BTreeSet<String> {
     bindings(tokens, type_names)
         .into_iter()
-        .filter(|&(_, ty)| type_args_name(tokens, ty, arg))
-        .map(|(name, _)| name)
+        .filter(|b| type_args_name(tokens, b.ty, arg))
+        .map(|b| b.name)
         .collect()
 }
 
-/// Every binding [`typed_idents`] recognizes, with the index of the type
-/// token that matched (the `vec` ident for macro inference).
-fn bindings(tokens: &[Token], type_names: &[&str]) -> Vec<(String, usize)> {
+/// Where a binding is visible.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Scope {
+    /// Struct, enum and union fields, and bindings outside every `fn`.
+    File,
+    /// Parameters and `let`s: the `fn` (its token index) declaring them.
+    Fn(usize),
+}
+
+/// The bindings [`typed_idents`] recognizes, each scoped: a `fn`
+/// parameter or `let` is seen only inside the `fn` that declares it (the
+/// [`preceding_fn_names`] stand-in, so a closure belongs to its `fn`), while
+/// a field is seen everywhere in the file. A name bound to a tracked type
+/// in one `fn` is then not mistaken for it in another.
+pub struct ScopedIdents {
+    bound: Vec<(String, Scope)>,
+    fns: Vec<(usize, String)>,
+}
+
+impl ScopedIdents {
+    /// Bindings to one of `type_names`; with `arg`, only those whose
+    /// written type arguments name it (see [`typed_idents_with_arg`]).
+    pub fn new(tokens: &[Token], type_names: &[&str], arg: Option<&str>) -> Self {
+        let fns = preceding_fn_names(tokens);
+        let fields = field_tokens(tokens);
+        let bound = bindings(tokens, type_names)
+            .into_iter()
+            .filter(|b| arg.is_none_or(|arg| type_args_name(tokens, b.ty, arg)))
+            .map(|b| {
+                let scope = match enclosing_fn_at(&fns, b.at) {
+                    Some(f) if !fields[b.at] => Scope::Fn(f),
+                    _ => Scope::File,
+                };
+                (b.name, scope)
+            })
+            .collect();
+        ScopedIdents { bound, fns }
+    }
+
+    /// Whether nothing is bound.
+    pub fn is_empty(&self) -> bool {
+        self.bound.is_empty()
+    }
+
+    /// Whether `name`, used at token index `at`, is one of the bindings.
+    pub fn contains(&self, name: &str, at: usize) -> bool {
+        let here = enclosing_fn_at(&self.fns, at);
+        self.bound.iter().any(|(n, scope)| {
+            n == name
+                && match scope {
+                    Scope::File => true,
+                    Scope::Fn(f) => here == Some(*f),
+                }
+        })
+    }
+}
+
+/// For each token, whether it sits in the body of a `struct`, `enum` or
+/// `union` (at any depth), where `name: Type` declares a field.
+fn field_tokens(tokens: &[Token]) -> Vec<bool> {
+    let mut out = Vec::with_capacity(tokens.len());
+    // One entry per open `{`: whether it opened (or sits in) a field body.
+    let mut open: Vec<bool> = Vec::new();
+    let mut item_pending = false;
+    for (i, t) in tokens.iter().enumerate() {
+        match &t.tok {
+            Tok::Ident(s)
+                if matches!(s.as_str(), "struct" | "enum" | "union")
+                    && !(i > 0 && punct_at(tokens, i - 1, '.')) =>
+            {
+                item_pending = true;
+            }
+            // A unit or tuple struct ends without a body.
+            Tok::Punct(';') => item_pending = false,
+            Tok::Punct('{') => {
+                let inside = open.last().copied().unwrap_or(false);
+                open.push(item_pending || inside);
+                item_pending = false;
+            }
+            Tok::Punct('}') => {
+                open.pop();
+            }
+            _ => {}
+        }
+        out.push(open.last().copied().unwrap_or(false));
+    }
+    out
+}
+
+/// One recognized binding: the bound name, the index of its name token,
+/// and the index of the type token that matched (the `vec` ident for
+/// macro inference).
+struct Binding {
+    name: String,
+    at: usize,
+    ty: usize,
+}
+
+/// Every binding [`typed_idents`] recognizes.
+fn bindings(tokens: &[Token], type_names: &[&str]) -> Vec<Binding> {
     let mut found = Vec::new();
     let is_type = |t: Option<&Token>| {
         matches!(t.map(|t| &t.tok), Some(Tok::Ident(s)) if type_names.contains(&s.as_str()))
@@ -115,7 +212,11 @@ fn bindings(tokens: &[Token], type_names: &[&str]) -> Vec<(String, usize)> {
                 j = skip_path_prefix(tokens, skip_refs(tokens, j + 2));
             }
             if is_type(tokens.get(j)) {
-                found.push((name.clone(), j));
+                found.push(Binding {
+                    name: name.clone(),
+                    at: i,
+                    ty: j,
+                });
             }
         }
         // `let [mut] name = Type::...` / `let [mut] name = vec![...]`
@@ -138,7 +239,11 @@ fn bindings(tokens: &[Token], type_names: &[&str]) -> Vec<(String, usize)> {
                 && matches!(tokens.get(k + 1).map(|t| &t.tok), Some(Tok::PathSep))
             {
                 if is_type(tokens.get(k)) {
-                    found.push((bound.clone(), k));
+                    found.push(Binding {
+                        name: bound.clone(),
+                        at: j,
+                        ty: k,
+                    });
                     break;
                 }
                 k += 2;
@@ -147,7 +252,11 @@ fn bindings(tokens: &[Token], type_names: &[&str]) -> Vec<(String, usize)> {
                 && matches!(rhs, Some(Tok::Ident(s)) if s == "vec")
                 && matches!(tokens.get(j + 3).map(|t| &t.tok), Some(Tok::Punct('!')));
             if rhs_is_vec_macro {
-                found.push((bound.clone(), j + 2));
+                found.push(Binding {
+                    name: bound.clone(),
+                    at: j,
+                    ty: j + 2,
+                });
             }
         }
     }
@@ -228,6 +337,26 @@ pub fn enclosing_fn(fns: &[(usize, String)], i: usize) -> Option<&str> {
         .map(|(_, name)| name.as_str())
 }
 
+/// Token index of the `fn` most recently opened before token index `i`
+/// (what [`enclosing_fn`] names; indices tell same-named methods apart).
+fn enclosing_fn_at(fns: &[(usize, String)], i: usize) -> Option<usize> {
+    fns.iter().rev().find(|(fi, _)| *fi < i).map(|(fi, _)| *fi)
+}
+
+/// Whether a method call `.name(` (or `.name::<..>(`) to one of `names`
+/// starts within `lines` of `line` (inclusive, forward window). A bare
+/// identifier of that name (a binding called `sum`) is not a call.
+pub fn method_call_in_window(tokens: &[Token], line: u32, lines: u32, names: &[&str]) -> bool {
+    tokens.iter().enumerate().any(|(i, t)| {
+        t.line >= line
+            && t.line <= line.saturating_add(lines)
+            && matches!(&t.tok, Tok::Ident(s) if names.contains(&s.as_str()))
+            && i > 0
+            && punct_at(tokens, i - 1, '.')
+            && (punct_at(tokens, i + 1, '(') || pathsep_at(tokens, i + 1))
+    })
+}
+
 /// Whether any token within `lines` of `line` (inclusive, forward window)
 /// is an identifier from `names`.
 pub fn ident_in_window(tokens: &[Token], line: u32, lines: u32, names: &[&str]) -> bool {
@@ -285,6 +414,44 @@ mod tests {
         let float_maps = typed_idents_with_arg(&lexed.tokens, &["HashMap"], "f64");
         assert!(float_maps.contains("agreed"));
         assert!(!float_maps.contains("acc"));
+    }
+
+    #[test]
+    fn scoped_idents_stay_in_their_fn_and_fields_do_not() {
+        let src = "struct S {\n    cache: HashMap<u32, f64>,\n}\nfn a(m: HashMap<u32, f64>) {\n    m.len();\n}\nfn b(m: Vec<f64>) {\n    let f = |m: &u32| m;\n    m.len();\n    cache.len();\n}\n";
+        let lexed = lex(src);
+        let maps = ScopedIdents::new(&lexed.tokens, &["HashMap"], None);
+        let last = |line: u32, name: &str| {
+            lexed
+                .tokens
+                .iter()
+                .rposition(|t| t.line == line && matches!(&t.tok, Tok::Ident(s) if s == name))
+                .expect(name)
+        };
+        assert!(
+            maps.contains("m", last(5, "m")),
+            "a's parameter is a map in a"
+        );
+        assert!(!maps.contains("m", last(8, "m")), "not in b's closure");
+        assert!(
+            !maps.contains("m", last(9, "m")),
+            "not as b's own parameter"
+        );
+        assert!(
+            maps.contains("cache", last(10, "cache")),
+            "fields are file-wide"
+        );
+        let float_maps = ScopedIdents::new(&lexed.tokens, &["HashMap"], Some("f64"));
+        assert!(float_maps.contains("m", last(5, "m")));
+        assert!(!ScopedIdents::new(&lexed.tokens, &["HashMap"], Some("u64"))
+            .contains("m", last(5, "m")));
+    }
+
+    #[test]
+    fn folds_count_only_as_method_calls() {
+        let lexed = lex("for (g, sum) in m {\n    x(sum);\n}\nlet t = v.iter().sum::<f64>();\n");
+        assert!(!method_call_in_window(&lexed.tokens, 1, 2, &["sum"]));
+        assert!(method_call_in_window(&lexed.tokens, 4, 0, &["sum"]));
     }
 
     #[test]

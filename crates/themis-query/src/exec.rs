@@ -5,13 +5,16 @@
 //! interpreter whose behaviour defines the semantics the morsel-driven
 //! parallel engine ([`crate::exec_parallel`]) must reproduce exactly. The
 //! query *planning* layer (name resolution, mask compilation, select
-//! compilation — `plan_scan` / `plan_join`) and the per-row aggregate
-//! *fold* (`fold_row`) are shared by both engines so they cannot drift
-//! apart; only the drive loop differs.
+//! compilation — `plan_scan` / `plan_join`) and the output of each
+//! aggregate (`output_value`) are shared by both engines so they cannot
+//! drift apart. The per-row aggregate *fold* (`fold_row`) drives the serial
+//! engine and the parallel join probe; the parallel scan kernel folds
+//! column at a time instead, and a unit test holds it bit for bit to
+//! `fold_row`.
 
 use crate::catalog::Catalog;
 use crate::guard::{QueryGuard, RowMeter};
-use crate::value::{QueryResult, Value};
+use crate::value::{cmp_group_prefix, QueryResult, Value};
 use std::collections::HashMap;
 use std::fmt;
 use themis_data::{AttrId, Relation};
@@ -450,9 +453,9 @@ pub(crate) struct AccumRef<'a> {
 }
 
 /// Fold one input row into an accumulator. `rows[t]` is the row index of
-/// table slot `t`. This is the single definition of per-row aggregate
-/// semantics — the serial and parallel engines both call it, so they agree
-/// bit-for-bit on every fold.
+/// table slot `t`. This is the definition of per-row aggregate semantics:
+/// the serial engine and the parallel join probe call it, and the parallel
+/// scan kernel is tested bit for bit against it.
 pub(crate) fn fold_row(
     select: &CompiledSelect,
     bindings: &[(&str, &Relation)],
@@ -558,6 +561,27 @@ fn aggregate_rows(
     finalize_groups(select, bindings, groups)
 }
 
+/// The output value of one aggregate from its group's accumulator: AVG
+/// divides the weighted sum by the group's weight (0 for a weightless
+/// group); COUNT(*) and SUM(weight) report the group weight, which
+/// [`fold_row`] builds from the very additions, in the very order, it gives
+/// their own accumulators (so the morsel engine keeps no accumulator for
+/// them); MIN, MAX and SUM report their accumulator. The single definition
+/// both engines' results and the replicate agreement use.
+pub(crate) fn output_value(agg: &CompiledAgg, weight: f64, sum: f64) -> f64 {
+    match agg {
+        CompiledAgg::CountStar | CompiledAgg::SumWeight => weight,
+        CompiledAgg::Avg(_) => {
+            if weight > 0.0 {
+                sum / weight
+            } else {
+                0.0
+            }
+        }
+        _ => sum,
+    }
+}
+
 /// Turn accumulated groups into the final sorted [`QueryResult`]. Shared by
 /// both engines so output formatting and row order are identical.
 pub(crate) fn finalize_groups(
@@ -582,46 +606,23 @@ pub(crate) fn finalize_groups(
                     )
                 })
                 .collect();
-            for (i, agg) in select.aggs.iter().enumerate() {
-                let v = match agg {
-                    CompiledAgg::Avg(_) => {
-                        if acc.weight > 0.0 {
-                            acc.sums[i] / acc.weight
-                        } else {
-                            0.0
-                        }
-                    }
-                    _ => acc.sums[i],
-                };
-                row.push(Value::Num(v));
+            for (agg, &sum) in select.aggs.iter().zip(&acc.sums) {
+                row.push(Value::Num(output_value(agg, acc.weight, sum)));
             }
             row
         })
         .collect();
-    rows_out.sort_by(|a, b| {
-        let ka: Vec<&str> = a
-            .iter()
-            .filter_map(|v| match v {
-                Value::Str(s) => Some(s.as_str()),
-                Value::Num(_) => None,
-            })
-            .collect();
-        let kb: Vec<&str> = b
-            .iter()
-            .filter_map(|v| match v {
-                Value::Str(s) => Some(s.as_str()),
-                Value::Num(_) => None,
-            })
-            .collect();
-        ka.cmp(&kb)
-    });
+    // Group cells are a row's only labels and lead it, so this is the
+    // label order; the sort is stable, and both engines sort the same way.
+    let arity = select.group_cols.len();
+    rows_out.sort_by(|a, b| cmp_group_prefix(a, b, arity));
 
     let mut columns = select.group_names.clone();
     columns.extend(select.agg_names.iter().cloned());
     QueryResult {
         columns,
         rows: rows_out,
-        group_arity: select.group_cols.len(),
+        group_arity: arity,
     }
 }
 
@@ -768,11 +769,22 @@ pub(crate) struct JoinPlan<'a> {
 impl JoinPlan<'_> {
     /// Whether `row` of table slot `table` passes every mask on that side.
     pub(crate) fn passes(&self, table: usize, row: usize) -> bool {
-        self.masks
-            .iter()
-            .filter(|(r, _)| r.table == table)
-            .all(|(r, mask)| mask[self.bindings[table].1.value(row, r.attr) as usize])
+        side_passes(&self.masks, self.bindings[table].1, table, row)
     }
+}
+
+/// Whether `row` of `rel`, bound at table slot `table`, passes every mask
+/// on that side of a join.
+pub(crate) fn side_passes(
+    masks: &[(Resolved, Vec<bool>)],
+    rel: &Relation,
+    table: usize,
+    row: usize,
+) -> bool {
+    masks
+        .iter()
+        .filter(|(r, _)| r.table == table)
+        .all(|(r, mask)| mask[rel.value(row, r.attr) as usize])
 }
 
 /// Compile a two-table query into a [`JoinPlan`].

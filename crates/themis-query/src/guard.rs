@@ -327,6 +327,19 @@ impl<'g> RowMeter<'g> {
         }
     }
 
+    /// Count `n` examined rows at once: a kernel stride of at most
+    /// [`GUARD_STRIDE`] rows, starting on a stride boundary, so the meter
+    /// flushes exactly where `n` calls to [`RowMeter::tick`] would.
+    #[inline]
+    pub(crate) fn tick_stride(&mut self, n: u64) -> Result<(), ExecError> {
+        self.pending += n;
+        if self.pending >= GUARD_STRIDE {
+            self.flush()
+        } else {
+            Ok(())
+        }
+    }
+
     /// Charge pending rows and run the cooperative check. Called at stride
     /// boundaries and at the end of each morsel, so charges are exact.
     pub(crate) fn flush(&mut self) -> Result<(), ExecError> {

@@ -22,6 +22,12 @@
 //! The **serial interpreter** ([`execute`]) is the reference oracle the
 //! morsel engine is differentially tested against.
 //!
+//! [`Agreement`] runs one grouped query, compiled once, over several
+//! relations that share a schema (the K BN replicates) and keeps the groups
+//! all of them produce, agreeing on `u32` slot codes and labelling only
+//! the survivors: the engine half of the replicate consensus behind every
+//! hybrid and BN-only answer.
+//!
 //! No code in this crate reads environment variables. Binaries that want an
 //! environment-driven thread count (the CLI shell) parse it themselves and
 //! pass the resulting `EngineOptions` down.
@@ -57,12 +63,14 @@
 
 #![forbid(unsafe_code)]
 
+pub mod agreement;
 pub mod catalog;
 pub mod exec;
 pub mod exec_parallel;
 pub mod guard;
 pub mod value;
 
+pub use agreement::Agreement;
 pub use catalog::Catalog;
 pub use exec::{apply_order_by, execute, execute_guarded, run_sql, ExecError};
 pub use exec_parallel::{execute_parallel, EngineOptions, DEFAULT_MORSEL_ROWS};
