@@ -39,12 +39,10 @@ use crate::route::{self, Decision, Explain, Route};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 use themis_aggregates::IncidenceMatrix;
-use themis_data::{AttrId, Relation};
+use themis_data::Relation;
 use themis_live::{plan_fingerprint, AnswerCache, Fingerprint, LiveSnapshot, LiveStats};
 use themis_obs::Counter;
-use themis_query::{
-    EngineOptions, ExecError, FaultPlan, QueryResult, QueryTrace, TraceSink, Value,
-};
+use themis_query::{EngineOptions, ExecError, FaultPlan, QueryResult, QueryTrace, TraceSink};
 use themis_reweight::{ipf_on_incidence, linreg_weights, uniform_weights};
 use themis_sql::{Query, SelectItem};
 
@@ -201,11 +199,6 @@ impl ThemisSession {
     pub fn disable_answer_cache(&mut self) {
         self.cache = None;
         self.live.cache_entries.set(0);
-    }
-
-    /// Whether the answer cache is enabled.
-    pub fn cache_enabled(&self) -> bool {
-        self.cache.is_some()
     }
 
     /// The live-data metrics bundle (cache and ingest counters).
@@ -574,37 +567,6 @@ impl ThemisSession {
         })
     }
 
-    /// Hybrid point query (§4.3) as an [`Answer`]: if the tuple exists in
-    /// the sample, `SUM(weight)` answers; otherwise direct BN inference
-    /// (`n · Pr`), or 0 without a BN.
-    pub fn point_query(&self, attrs: &[AttrId], values: &[u32]) -> Answer {
-        let start = Instant::now();
-        let world = self.pinned();
-        let sample = world.model.reweighted_sample();
-        let (est, route) = if sample.contains_point(attrs, values) {
-            (
-                world.model.point_query_sample(attrs, values),
-                Route::Sample,
-            )
-        } else {
-            match world.model.point_query_bn(attrs, values) {
-                Ok(est) => (est, Route::BayesNet { k_agreed: 0 }),
-                // No BN to fall back on: the closed-sample answer for an
-                // unseen point is zero.
-                Err(_) => (0.0, Route::Sample),
-            }
-        };
-        Answer {
-            result: QueryResult {
-                columns: vec!["COUNT(*)".into()],
-                rows: vec![vec![Value::Num(est)]],
-                group_arity: 0,
-            },
-            route,
-            elapsed: start.elapsed(),
-        }
-    }
-
     /// Append labeled rows to the registered relation, rebuilding the model
     /// incrementally and swapping in a new world generation. `&self`:
     /// concurrent readers keep answering on their pinned generation and
@@ -763,6 +725,8 @@ mod tests {
     use crate::route::RouteKind;
     use themis_aggregates::{AggregateResult, AggregateSet};
     use themis_data::paper_example::{example_population, example_sample};
+    use themis_data::AttrId;
+    use themis_query::Value;
 
     fn paper_session(config: ThemisConfig) -> ThemisSession {
         let p = example_population();
@@ -946,17 +910,18 @@ mod tests {
     #[test]
     fn point_query_answers_carry_routes() {
         let s = open_world_session();
-        let attrs = [AttrId(1), AttrId(2)];
-        assert_eq!(s.point_query(&attrs, &[1, 2]).route, Route::Sample);
+        let in_sample = "SELECT COUNT(*) FROM flights WHERE o_st = 'NC' AND d_st = 'NY'";
+        let missing = "SELECT COUNT(*) FROM flights WHERE o_st = 'FL' AND d_st = 'NY'";
+        assert_eq!(s.sql(in_sample).unwrap().route, Route::Sample);
         assert_eq!(
-            s.point_query(&attrs, &[0, 2]).route,
+            s.sql(missing).unwrap().route,
             Route::BayesNet { k_agreed: 0 }
         );
         let no_bn = paper_session(ThemisConfig {
             bn_mode: None,
             ..ThemisConfig::default()
         });
-        let answer = no_bn.point_query(&attrs, &[0, 2]);
+        let answer = no_bn.sql(missing).unwrap();
         assert_eq!(answer.route, Route::Sample);
         assert_eq!(answer.scalar(), Some(0.0));
     }

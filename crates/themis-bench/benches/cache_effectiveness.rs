@@ -28,8 +28,8 @@ const CACHE_ENTRIES: usize = 24;
 /// Acceptance: cached p50 must be below this fraction of uncached p50.
 const P50_BUDGET: f64 = 0.20;
 
-/// The same biased open-world dataset as `route_mix`, smaller so the
-/// uncached arm stays fast enough to replay the full stream.
+/// The same biased open-world dataset as the `server_load` bin, smaller so
+/// the uncached arm stays fast enough to replay the full stream.
 fn world() -> Themis {
     let sizes = [16usize, 12, 8];
     let schema = Schema::new(vec![

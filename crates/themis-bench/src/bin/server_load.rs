@@ -24,7 +24,7 @@ use themis_core::{metrics, Themis, ThemisConfig, ThemisSession};
 use themis_data::{AttrId, Attribute, Domain, Relation, Schema};
 use themis_serve::{Client, Json, ServerConfig, ThemisServer};
 
-/// The mixed workload, one route per shape (see `benches/route_mix.rs`).
+/// The mixed workload, one route per shape.
 const WORKLOAD: [&str; 4] = [
     "SELECT COUNT(*) AS n FROM t",
     "SELECT a, COUNT(*) AS n FROM t GROUP BY a",
@@ -33,8 +33,7 @@ const WORKLOAD: [&str; 4] = [
 ];
 
 /// The biased open-world dataset: a 50 000-row population sampled only where
-/// `a < 10`, so the BN route genuinely fires (same world as the route-mix
-/// bench).
+/// `a < 10`, so the BN route genuinely fires.
 fn world() -> ThemisSession {
     let sizes = [16usize, 12, 8];
     let schema = Schema::new(vec![

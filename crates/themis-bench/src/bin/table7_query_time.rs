@@ -1,7 +1,6 @@
 //! Table 7: average point-query execution time on IMDB SR159 with 4 2-D
 //! aggregates — the reweighted sample (RW: a weighted scan) versus the five
-//! BN modes (exact inference). A Criterion version lives in
-//! `benches/query_time.rs`.
+//! BN modes (exact inference).
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;

@@ -1,6 +1,5 @@
 //! Table 8: structure (S) and parameter (P) learning times on IMDB SR159 as
-//! 1-D and then 2-D aggregates are added, for LinReg, IPF, and BB. A
-//! Criterion version lives in `benches/solver_time.rs`.
+//! 1-D and then 2-D aggregates are added, for LinReg, IPF, and BB.
 
 use std::time::Instant;
 use themis_bench::report::{banner, table};

@@ -98,11 +98,6 @@ impl Schema {
         &self.attributes
     }
 
-    /// Total one-hot width `sum_i N_i` over all attributes.
-    pub fn one_hot_width(&self) -> usize {
-        self.attributes.iter().map(|a| a.domain().size()).sum()
-    }
-
     /// Number of cells in the full cross-product of the active domains,
     /// saturating at `usize::MAX`.
     pub fn joint_cells(&self) -> usize {
@@ -132,11 +127,6 @@ mod tests {
         assert_eq!(s.attr(AttrId(1)).name(), "o_st");
         assert_eq!(s.domain(AttrId(2)).size(), 3);
         assert_eq!(s.attr_id("missing"), None);
-    }
-
-    #[test]
-    fn one_hot_width_sums_domains() {
-        assert_eq!(schema().one_hot_width(), 2 + 3 + 3);
     }
 
     #[test]

@@ -48,15 +48,6 @@ impl SourceFile {
             text: text.into(),
         }
     }
-
-    /// The crate/shim this file belongs to, when it has one.
-    pub fn unit_name(&self) -> Option<&str> {
-        match &self.class {
-            FileClass::Lib { crate_name } | FileClass::Tool { crate_name } => Some(crate_name),
-            FileClass::Shim { shim_name } => Some(shim_name),
-            FileClass::TestCode => None,
-        }
-    }
 }
 
 /// Crates whose binaries are allowed to panic and to surface their own CLI

@@ -93,14 +93,6 @@ impl Json {
         }
     }
 
-    /// The key/value pairs, if this is an object.
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(pairs) => Some(pairs),
-            _ => None,
-        }
-    }
-
     /// True for `null`.
     pub fn is_null(&self) -> bool {
         matches!(self, Json::Null)

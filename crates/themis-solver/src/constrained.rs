@@ -19,14 +19,15 @@
 //! cells in proportion to their counts (uniformly when they have none).
 //! That is the relaxation's exact optimum. If it also satisfies every
 //! constraint of the full problem — the coupled, multi-term ones included —
-//! within `tol`, it is the full problem's optimum too: the relaxation's
-//! feasible set contains the full problem's, so its optimum bounds the full
-//! optimum from above, and a feasible point attaining the bound is optimal.
-//! The presolve then returns it with a zero-iteration [`MleReport`]. With
-//! no constraints this is the classic normalized-count MLE. In Themis' BN
-//! learner every factor whose family one aggregate covers whole (and every
-//! root pinned by its marginal) takes this path, so its CPT is exact and
-//! depends only on the aggregates.
+//! within the feasibility tolerance (`1e-6` on `‖g‖∞`), it is the full
+//! problem's optimum too: the relaxation's feasible set contains the full
+//! problem's, so its optimum bounds the full optimum from above, and a
+//! feasible point attaining the bound is optimal. The presolve then returns
+//! it with a zero-iteration [`MleReport`]. With no constraints this is the
+//! classic normalized-count MLE. In Themis' BN learner every factor whose
+//! family one aggregate covers whole (and every root pinned by its
+//! marginal) takes this path, so its CPT is exact and depends only on the
+//! aggregates.
 //!
 //! **Loop.** When the presolve's point breaks a constraint — a coupled
 //! constraint the pins do not already satisfy (an aggregate that covers the
@@ -70,30 +71,6 @@ pub struct MleReport {
     pub converged: bool,
 }
 
-/// Options for the augmented-Lagrangian solve.
-#[derive(Debug, Clone)]
-pub struct MleOptions {
-    /// Feasibility tolerance on `‖g‖∞`.
-    pub tol: f64,
-    /// Maximum outer iterations.
-    pub max_outer: usize,
-    /// Maximum inner projected-gradient steps per outer iteration.
-    pub max_inner: usize,
-    /// Initial penalty parameter ρ.
-    pub rho: f64,
-}
-
-impl Default for MleOptions {
-    fn default() -> Self {
-        Self {
-            tol: 1e-6,
-            max_outer: 40,
-            max_inner: 300,
-            rho: 10.0,
-        }
-    }
-}
-
 /// A constrained MLE problem over consecutive simplex blocks.
 #[derive(Debug, Clone)]
 pub struct ConstrainedMle {
@@ -104,15 +81,21 @@ pub struct ConstrainedMle {
     pub counts: Vec<f64>,
     /// Linear equality constraints.
     pub constraints: Vec<LinearConstraint>,
-    /// Solver options.
-    pub options: MleOptions,
 }
 
+/// Feasibility tolerance on `‖g‖∞`.
+const TOL: f64 = 1e-6;
+/// Maximum outer (multiplier) iterations of the augmented-Lagrangian loop.
+const MAX_OUTER: usize = 40;
+/// Maximum inner mirror-descent steps per outer iteration.
+const MAX_INNER: usize = 300;
+/// Initial penalty parameter ρ.
+const RHO: f64 = 10.0;
 /// Floor used inside `log` to keep the objective finite at the boundary.
 const THETA_FLOOR: f64 = 1e-12;
 
 impl ConstrainedMle {
-    /// Build a problem with default options.
+    /// Build a problem.
     pub fn new(
         block_sizes: Vec<usize>,
         counts: Vec<f64>,
@@ -133,24 +116,25 @@ impl ConstrainedMle {
             block_sizes,
             counts,
             constraints,
-            options: MleOptions::default(),
         }
     }
 
     /// Solve the problem. The returned θ lies on the product of simplices;
     /// when the constraints are feasible the report's `converged` is true
-    /// and `feasibility ≤ tol`.
+    /// and `feasibility ≤ 1e-6`.
     ///
     /// The closed-form presolve (see the [module docs](self)) answers
     /// first; only when its point breaks a constraint does the
     /// augmented-Lagrangian loop run.
     pub fn solve(&self) -> (Vec<f64>, MleReport) {
-        self.presolve().unwrap_or_else(|| self.augmented_lagrangian())
+        self.presolve()
+            .unwrap_or_else(|| self.augmented_lagrangian(TOL))
     }
 
     /// Closed-form optimum of the relaxation that keeps only the
     /// single-term constraints (see the module docs), returned when it
-    /// satisfies every constraint of the full problem within `tol`.
+    /// satisfies every constraint of the full problem within the feasibility
+    /// tolerance.
     ///
     /// The first pin of a cell wins; a conflicting duplicate fails the final
     /// check. A block whose pins sum past 1, or short of 1 with no free cell
@@ -206,7 +190,7 @@ impl ConstrainedMle {
         let mut feasibility = 0.0f64;
         for c in &self.constraints {
             let r = c.residual(&theta).abs();
-            if r.is_nan() || r > self.options.tol {
+            if r.is_nan() || r > TOL {
                 return None;
             }
             feasibility = feasibility.max(r);
@@ -222,8 +206,9 @@ impl ConstrainedMle {
         ))
     }
 
-    /// The augmented-Lagrangian loop, from the smoothed MLE.
-    fn augmented_lagrangian(&self) -> (Vec<f64>, MleReport) {
+    /// The augmented-Lagrangian loop, from the smoothed MLE, until every
+    /// constraint holds within `tol`.
+    fn augmented_lagrangian(&self, tol: f64) -> (Vec<f64>, MleReport) {
         let mut theta = self.smoothed_mle();
         // Normalize counts so gradient magnitudes are scale free.
         let total_count: f64 = self.counts.iter().sum::<f64>().max(1.0);
@@ -231,11 +216,11 @@ impl ConstrainedMle {
 
         let m = self.constraints.len();
         let mut lambda = vec![0.0; m];
-        let mut rho = self.options.rho;
+        let mut rho = RHO;
         let mut inner_total = 0;
         let mut feas = f64::INFINITY;
 
-        for outer in 0..self.options.max_outer {
+        for outer in 0..MAX_OUTER {
             inner_total += self.minimize_inner(&mut theta, &weights, &lambda, rho);
             let g: Vec<f64> = self
                 .constraints
@@ -243,7 +228,7 @@ impl ConstrainedMle {
                 .map(|c| c.residual(&theta))
                 .collect();
             let new_feas = g.iter().fold(0.0f64, |a, &x| a.max(x.abs()));
-            if new_feas < self.options.tol {
+            if new_feas < tol {
                 return (
                     theta,
                     MleReport {
@@ -265,10 +250,10 @@ impl ConstrainedMle {
         (
             theta,
             MleReport {
-                outer_iterations: self.options.max_outer,
+                outer_iterations: MAX_OUTER,
                 inner_iterations: inner_total,
                 feasibility: feas,
-                converged: feas < self.options.tol,
+                converged: feas < tol,
             },
         )
     }
@@ -303,7 +288,7 @@ impl ConstrainedMle {
         let mut step = 0.5;
         let mut value = self.augmented(theta, weights, lambda, rho);
         let mut steps = 0;
-        for _ in 0..self.options.max_inner {
+        for _ in 0..MAX_INNER {
             steps += 1;
             let grad = self.augmented_grad(theta, weights, lambda, rho);
             // Backtracking line search over the mirror step
@@ -648,16 +633,14 @@ mod tests {
             assert!(closed_form(&rep), "{rep:?}");
             // The loop's stopping rule bounds only feasibility; at the
             // default tolerance its free cells still sit up to ~5e-6 from
-            // the optimum. Run it 100× tighter and it lands within `tol`.
-            let mut tight = p.clone();
-            tight.options.tol = p.options.tol / 100.0;
-            let (looped, loop_rep) = tight.augmented_lagrangian();
+            // the optimum. Run it 100× tighter and it lands within `TOL`.
+            let (looped, loop_rep) = p.augmented_lagrangian(TOL / 100.0);
             if !loop_rep.converged {
                 continue;
             }
             compared += 1;
             for (a, b) in closed.iter().zip(&looped) {
-                assert!((a - b).abs() <= p.options.tol, "{closed:?} vs {looped:?}");
+                assert!((a - b).abs() <= TOL, "{closed:?} vs {looped:?}");
             }
         }
         assert!(compared >= 100, "the loop converged on only {compared} problems");

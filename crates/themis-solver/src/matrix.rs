@@ -218,14 +218,6 @@ pub fn norm_inf(a: &[f64]) -> f64 {
     a.iter().fold(0.0, |m, v| m.max(v.abs()))
 }
 
-/// `y ← y + alpha * x`.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, &xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,8 +285,5 @@ mod tests {
     fn norms() {
         assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
         assert_eq!(norm_inf(&[-3.0, 2.0]), 3.0);
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[1.0, 2.0], &mut y);
-        assert_eq!(y, vec![3.0, 5.0]);
     }
 }

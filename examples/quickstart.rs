@@ -13,6 +13,7 @@ use themis_aggregates::{AggregateResult, AggregateSet};
 use themis_core::{Themis, ThemisConfig, ThemisSession};
 use themis_data::paper_example::{example_population, example_sample};
 use themis_data::AttrId;
+use themis_query::{run_sql, Catalog, EngineOptions};
 
 fn main() {
     // The population exists conceptually but is unavailable; we use it here
@@ -31,23 +32,31 @@ fn main() {
     println!("sample: {} tuples, population: {} tuples\n", sample.len(), n);
     let session = ThemisSession::new(Themis::build(sample, aggregates, n, ThemisConfig::default()));
 
-    // 2. Ask open-world point queries; each answer names the component that
-    //    produced it (the reweighted sample vs the Bayesian network).
-    let queries = [
-        ("flights on date 01", vec![AttrId(0)], vec![0u32]),
-        ("flights NC -> NY", vec![AttrId(1), AttrId(2)], vec![1, 2]),
-        ("flights FL -> NY (NOT in the sample!)", vec![AttrId(1), AttrId(2)], vec![0, 2]),
-    ];
-    println!("{:<42} {:>6} {:>8}  route", "query", "true", "Themis");
-    for (label, attrs, values) in queries {
-        let truth = population.point_count(&attrs, &values);
-        let answer = session.point_query(&attrs, &values);
+    // 2. Ask open-world point queries in SQL (COUNT(*) is evaluated as
+    //    SUM(weight)); each answer names the component that produced it
+    //    (the reweighted sample vs the Bayesian network). The truth is the
+    //    same query over the population.
+    let mut population_catalog = Catalog::new();
+    population_catalog.register("flights", population);
+    println!("{:<42} {:>6} {:>8}  route", "WHERE", "true", "Themis");
+    for filter in [
+        "date = '01'",
+        "o_st = 'NC' AND d_st = 'NY'",
+        "o_st = 'FL' AND d_st = 'NY'",
+    ] {
+        let sql = format!("SELECT COUNT(*) FROM flights WHERE {filter}");
+        let truth = run_sql(&population_catalog, &sql, &EngineOptions::default())
+            .expect("valid SQL")
+            .scalar()
+            .expect("point answers are scalar");
+        let answer = session.sql(&sql).expect("valid SQL");
         let est = answer.scalar().expect("point answers are scalar");
-        println!("{label:<42} {truth:>6.1} {est:>8.2}  {}", answer.route);
+        println!("{filter:<42} {truth:>6.1} {est:>8.2}  {}", answer.route);
     }
+    println!("(FL -> NY is NOT in the sample: the Bayesian network answers it.)");
 
-    // 3. SQL works too (COUNT(*) is evaluated as SUM(weight)), and
-    //    `explain` shows the routing decision before anything runs.
+    // 3. Grouped queries go hybrid, and `explain` shows the routing
+    //    decision before anything runs.
     let sql = "SELECT o_st, COUNT(*) FROM flights GROUP BY o_st";
     let explain = session.explain(sql).expect("valid SQL");
     println!("\n{explain}");
