@@ -440,12 +440,24 @@ impl ThemisSession {
                     Route::BayesNet { k_agreed: 0 },
                 )
             }
-            Decision::Hybrid { .. } => route::hybrid_sql(
-                world.model.sample_arc(),
-                &query,
-                engine,
-                world.replicates(),
-            )?,
+            Decision::Hybrid { .. } => {
+                let replicates = match world.replicates.get() {
+                    Some(replicates) => replicates.as_slice(),
+                    None => {
+                        // The replicate-cache miss pays the simulation;
+                        // attribute it to a span of its own.
+                        let _span = trace.span("simulate");
+                        let replicates = world.replicates();
+                        let rows: usize = replicates.iter().map(|r| r.len()).sum();
+                        trace.add_counts(&[
+                            ("replicates", replicates.len() as u64),
+                            ("rows", rows as u64),
+                        ]);
+                        replicates
+                    }
+                };
+                route::hybrid_sql(world.model.sample_arc(), &query, engine, replicates)?
+            }
         };
         Ok((query, result, route))
     }
@@ -885,6 +897,27 @@ mod tests {
             .collect();
         assert_eq!(first, second, "cache must hand back the same replicates");
         assert_eq!(first.len(), 10, "default K");
+    }
+
+    #[test]
+    fn only_a_replicate_cache_miss_opens_a_simulate_span() {
+        let s = open_world_session();
+        let sql = "SELECT o_st, COUNT(*) FROM flights GROUP BY o_st";
+        let miss = s.analyze(sql).unwrap().trace;
+        let query = miss.find("query").unwrap();
+        let names: Vec<&str> = query.children.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["parse", "route", "simulate", "hybrid"]);
+        let simulate = miss.find("simulate").unwrap();
+        let rows: usize = s.replicates().iter().map(|r| r.len()).sum();
+        assert_eq!(simulate.counter("replicates"), Some(10));
+        assert_eq!(simulate.counter("rows"), Some(rows as u64));
+        assert!(simulate.children.is_empty());
+        let hit = s.analyze(sql).unwrap().trace;
+        assert_eq!(
+            hit.find("route").unwrap().note("replicate_cache"),
+            Some("hit")
+        );
+        assert!(hit.find("simulate").is_none());
     }
 
     #[test]

@@ -225,10 +225,9 @@ fn main() {
         ("misses".into(), Json::Num(snap.cache_misses as f64)),
         ("evictions".into(), Json::Num(snap.cache_evictions as f64)),
     ]);
-    match report::write_bench_json("cache", &record) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_cache.json: {e}"),
-    }
+    let path = report::write_bench_json("cache", &record)
+        .unwrap_or_else(|e| panic!("could not write BENCH_cache.json: {e}"));
+    println!("wrote {}", path.display());
 
     assert!(
         ratio < P50_BUDGET,

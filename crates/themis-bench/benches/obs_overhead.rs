@@ -174,10 +174,9 @@ fn main() {
         ("aggregate_disabled_overhead".into(), Json::Num(aggregate)),
         ("max_overhead_accepted".into(), Json::Num(MAX_DISABLED_OVERHEAD)),
     ]);
-    match report::write_bench_json("obs", &record) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_obs.json: {e}"),
-    }
+    let path = report::write_bench_json("obs", &record)
+        .unwrap_or_else(|e| panic!("could not write BENCH_obs.json: {e}"));
+    println!("wrote {}", path.display());
 
     assert!(
         aggregate < MAX_DISABLED_OVERHEAD,

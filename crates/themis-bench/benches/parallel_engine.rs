@@ -180,10 +180,9 @@ fn main() {
             Json::Num(group_by_speedup_at_4),
         ),
     ]);
-    match report::write_bench_json("parallel", &record) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_parallel.json: {e}"),
-    }
+    let path = report::write_bench_json("parallel", &record)
+        .unwrap_or_else(|e| panic!("could not write BENCH_parallel.json: {e}"));
+    println!("wrote {}", path.display());
 
     assert!(
         group_by_speedup_at_4 >= 2.0,

@@ -200,10 +200,9 @@ fn main() {
             Json::Arr(WORKLOAD.iter().map(|s| Json::Str((*s).to_string())).collect()),
         ),
     ]);
-    match report::write_bench_json("server", &record) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_server.json: {e}"),
-    }
+    let path = report::write_bench_json("server", &record)
+        .unwrap_or_else(|e| panic!("could not write BENCH_server.json: {e}"));
+    println!("wrote {}", path.display());
 
     // Metrics smoke (CI gate): the registry's `metrics` op must agree with
     // the load we just generated — exactly `total` queries counted, and

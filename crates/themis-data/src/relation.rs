@@ -48,6 +48,36 @@ impl Relation {
         }
     }
 
+    /// Assemble a relation from whole columns (one per attribute, in schema
+    /// order) and their row weights.
+    ///
+    /// # Panics
+    /// Panics if the number of columns does not match the schema arity or a
+    /// column's length differs from the number of weights.
+    pub fn from_columns(schema: Arc<Schema>, columns: Vec<Vec<u32>>, weights: Vec<f64>) -> Self {
+        assert_eq!(
+            columns.len(),
+            schema.arity(),
+            "column count mismatch: got {}, schema has {}",
+            columns.len(),
+            schema.arity()
+        );
+        for (i, col) in columns.iter().enumerate() {
+            assert_eq!(col.len(), weights.len(), "column {i} length mismatch");
+            debug_assert!(
+                col.iter()
+                    .all(|&v| schema.attr(AttrId(i)).domain().contains(v)),
+                "value out of domain for attribute {}",
+                schema.attr(AttrId(i)).name()
+            );
+        }
+        Self {
+            schema,
+            columns,
+            weights,
+        }
+    }
+
     /// The relation's schema.
     pub fn schema(&self) -> &Arc<Schema> {
         &self.schema
@@ -312,6 +342,32 @@ mod tests {
         let g = p.group_row_counts(&[AttrId(0)]);
         assert_eq!(g[&vec![0]], 5);
         assert_eq!(g[&vec![1]], 5);
+    }
+
+    #[test]
+    fn from_columns_equals_the_pushed_rows() {
+        let mut p = example_population();
+        p.weights_mut()[4] = 2.5;
+        let columns = p
+            .schema()
+            .attr_ids()
+            .map(|a| p.column(a).to_vec())
+            .collect();
+        let q = Relation::from_columns(p.schema().clone(), columns, p.weights().to_vec());
+        assert_eq!(q.len(), p.len());
+        assert!((0..p.len()).all(|r| q.row(r) == p.row(r)));
+        assert_eq!(q.weights(), p.weights());
+    }
+
+    #[test]
+    #[should_panic(expected = "column 1 length mismatch")]
+    fn from_columns_rejects_ragged_columns() {
+        let p = example_population();
+        Relation::from_columns(
+            p.schema().clone(),
+            vec![vec![0; 2], vec![0; 1], vec![0; 2]],
+            vec![1.0; 2],
+        );
     }
 
     #[test]
