@@ -6,7 +6,7 @@
 //! get the maximum error of 200 percent".
 
 use std::collections::{BTreeSet, HashMap};
-use themis_data::GroupKey;
+use std::hash::Hash;
 
 /// Percent difference between a true and an estimated value, in `[0, 200]`.
 /// Both zero → 0 (a correctly-absent group).
@@ -19,13 +19,13 @@ pub fn percent_difference(truth: f64, estimate: f64) -> f64 {
 }
 
 /// Average percent difference across the union of groups of a true and an
-/// estimated `GROUP BY` answer. Groups missing from the estimate (missed)
-/// and groups present only in the estimate (phantom) both score the maximum
-/// 200.
-pub fn group_by_error(truth: &HashMap<GroupKey, f64>, estimate: &HashMap<GroupKey, f64>) -> f64 {
+/// estimated `GROUP BY` answer, keyed by domain codes or by labels alike.
+/// Groups missing from the estimate (missed) and groups present only in the
+/// estimate (phantom) both score the maximum 200.
+pub fn group_by_error<K: Ord + Hash>(truth: &HashMap<K, f64>, estimate: &HashMap<K, f64>) -> f64 {
     // BTreeSet, not HashSet: the f64 sum below is order-sensitive, so the
     // union must iterate in a run-independent order.
-    let keys: BTreeSet<&GroupKey> = truth.keys().chain(estimate.keys()).collect();
+    let keys: BTreeSet<&K> = truth.keys().chain(estimate.keys()).collect();
     if keys.is_empty() {
         return 0.0;
     }
@@ -70,6 +70,7 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use themis_data::GroupKey;
 
     #[test]
     fn exact_estimate_has_zero_error() {
@@ -104,7 +105,8 @@ mod tests {
 
     #[test]
     fn empty_answers_have_zero_error() {
-        assert_eq!(group_by_error(&HashMap::new(), &HashMap::new()), 0.0);
+        let empty: HashMap<GroupKey, f64> = HashMap::new();
+        assert_eq!(group_by_error(&empty, &empty), 0.0);
     }
 
     #[test]

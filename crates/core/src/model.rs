@@ -1,14 +1,15 @@
 //! The Themis model `M(Γ, S)`: building, reweighting, and the model-level
-//! estimators (§3). SQL answering with routing and provenance lives on
-//! [`crate::ThemisSession`]; the routing internals in [`crate::route`].
+//! point estimators (§3). SQL answering with routing and provenance —
+//! every hybrid `GROUP BY` included — lives on [`crate::ThemisSession`];
+//! the routing internals in [`crate::route`], whose one §4.3 point rule
+//! [`Themis::point_query`] shares with the session's SQL point route.
 
 use crate::error::ThemisError;
-use crate::route;
-use std::collections::HashMap;
+use crate::route::{self, RouteKind};
 use std::sync::Arc;
 use themis_aggregates::AggregateSet;
 use themis_bn::{learn, point_probability, BayesianNetwork, LearnMode, LearnOptions};
-use themis_data::{AttrId, GroupKey, Relation};
+use themis_data::{AttrId, Relation};
 use themis_reweight::{
     ipf_weights, linreg_weights, uniform_weights, IpfOptions, IpfReport, LinRegOptions,
 };
@@ -258,14 +259,13 @@ impl Themis {
 
     /// Hybrid point query (§4.3): if the queried tuple exists in the
     /// sample, answer from the reweighted sample (`SUM(weight)`); otherwise
-    /// fall back to direct BN inference, `n · Pr(X = v)`.
+    /// fall back to direct BN inference, `n · Pr(X = v)`. The choice is the
+    /// session's SQL point route, made by the same function.
     pub fn point_query(&self, attrs: &[AttrId], values: &[u32]) -> f64 {
-        if self.sample.contains_point(attrs, values) {
-            self.sample.point_count(attrs, values)
-        } else if let Some(bn) = &self.bn {
-            self.population_size * point_probability(bn, attrs, values)
-        } else {
-            0.0
+        match route::point_route(self, attrs, values) {
+            // The rule picks the BN only when the model has one.
+            RouteKind::BayesNet => self.point_query_bn(attrs, values).unwrap_or(0.0),
+            _ => self.point_query_sample(attrs, values),
         }
     }
 
@@ -281,16 +281,6 @@ impl Themis {
     pub fn point_query_bn(&self, attrs: &[AttrId], values: &[u32]) -> Result<f64, ThemisError> {
         let bn = self.bn.as_ref().ok_or(ThemisError::NoBayesNet)?;
         Ok(self.population_size * point_probability(bn, attrs, values))
-    }
-
-    /// Hybrid `GROUP BY attrs, COUNT(*)` (§4.3): all groups from the
-    /// reweighted sample, unioned with groups that appear in every one of
-    /// the K BN sample answers but not in the sample answer.
-    ///
-    /// This simulates the K replicates afresh per call; a
-    /// [`crate::ThemisSession`] caches them across queries instead.
-    pub fn group_by(&self, attrs: &[AttrId]) -> HashMap<GroupKey, f64> {
-        route::hybrid_group_by(&self.sample, attrs, &route::simulate_replicates(self)).0
     }
 }
 
@@ -350,8 +340,10 @@ mod tests {
             bn_sample_size: Some(4_000),
             ..ThemisConfig::default()
         });
-        let sample_groups = t.reweighted_sample().group_counts(&[AttrId(1), AttrId(2)]);
-        let hybrid = t.group_by(&[AttrId(1), AttrId(2)]);
+        let session = crate::ThemisSession::new(t);
+        let sql = "SELECT o_st, d_st, COUNT(*) FROM flights GROUP BY o_st, d_st";
+        let sample_groups = session.sql_sample_only(sql).unwrap().result.to_map();
+        let hybrid = session.sql(sql).unwrap().result.to_map();
         assert!(hybrid.len() >= sample_groups.len());
         // Sample groups keep their reweighted counts.
         for (g, c) in &sample_groups {

@@ -19,19 +19,19 @@
 //! their values summed in replicate order, and only the surviving groups
 //! are labelled, once, before the union with the sample's groups. This
 //! module keeps what is routing: the sample union, degradation, the phase
-//! deadline and cancel check between replicates, and the spans. The
-//! attribute-level `GROUP BY` of the model API agrees on its own
-//! `group_counts` maps through `intersect_into`.
+//! deadline and cancel check between replicates, and the spans. It is the
+//! only hybrid `GROUP BY` there is.
+//!
+//! The §4.3 point rule lives in one function, `point_route`: `decide`
+//! consults it for a point-shaped SQL query, and [`Themis::point_query`]
+//! for the model API's point query, so both pick the same source.
 
 use crate::model::Themis;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::Hash;
 use std::sync::Arc;
-use themis_bn::point_probability;
-use themis_data::{AttrId, GroupKey, Relation};
+use themis_data::{AttrId, Relation};
 use std::time::Instant;
 use themis_query::{
     cmp_group_prefix, Agreement, Catalog, EngineOptions, ExecError, FaultPlan, QueryResult, Trip,
@@ -385,6 +385,23 @@ fn point_shape(sample: &Relation, query: &Query) -> Option<PointShape> {
     })
 }
 
+/// The §4.3 point rule: a point the reweighted sample holds is answered
+/// from the sample (`SUM(weight)`), any other point by BN inference,
+/// `n · Pr(attrs = values)` — or from the sample, where it counts 0, when
+/// the model has no BN. Returns [`RouteKind::Sample`] or
+/// [`RouteKind::BayesNet`]. `decide` and [`Themis::point_query`] both ask
+/// this function, so SQL point queries and the model API pick the same
+/// source.
+pub(crate) fn point_route(model: &Themis, attrs: &[AttrId], values: &[u32]) -> RouteKind {
+    if model.bayesian_network().is_some()
+        && !model.reweighted_sample().contains_point(attrs, values)
+    {
+        RouteKind::BayesNet
+    } else {
+        RouteKind::Sample
+    }
+}
+
 /// Route a parsed query (§4.3). This is pure decision logic — nothing
 /// executes — so `ThemisSession::explain` and the execution path cannot
 /// disagree: both call this exact function.
@@ -420,7 +437,7 @@ pub(crate) fn decide(model: &Themis, query: &Query) -> Decision {
             })
             .collect();
         let described = described.join(", ");
-        if sample.contains_point(&point.attrs, &point.values) {
+        if point_route(model, &point.attrs, &point.values) == RouteKind::Sample {
             return Decision::Sample {
                 reason: format!(
                     "point query ({described}) hits the sample; answered by SUM(weight)"
@@ -480,28 +497,6 @@ pub(crate) fn simulate_replicates(model: &Themis) -> Vec<Arc<Relation>> {
     .into_iter()
     .map(Arc::new)
     .collect()
-}
-
-/// The replicate-agreement step of the attribute-level `GROUP BY`
-/// ([`hybrid_group_by`]): after folding all K maps through this, a group
-/// survives only if present in *every* replicate, with its values combined
-/// by `add`.
-pub(crate) fn intersect_into<K: Eq + Hash, V>(
-    acc: &mut Option<HashMap<K, V>>,
-    next: HashMap<K, V>,
-    mut add: impl FnMut(&mut V, V),
-) {
-    match acc {
-        None => *acc = Some(next),
-        Some(prev) => {
-            prev.retain(|k, _| next.contains_key(k));
-            for (k, v) in next {
-                if let Some(slot) = prev.get_mut(&k) {
-                    add(slot, v);
-                }
-            }
-        }
-    }
 }
 
 /// The groups all replicates agree on for a SQL query, K-averaged and
@@ -663,36 +658,9 @@ pub(crate) fn bn_only_sql(
     Ok(out)
 }
 
-/// Hybrid attribute-level `GROUP BY` (§4.3): sample groups keep their
-/// reweighted counts; groups agreed by every replicate fill in what the
-/// sample missed, with their counts averaged over the K replicates.
-pub(crate) fn hybrid_group_by(
-    sample: &Relation,
-    attrs: &[AttrId],
-    replicates: &[Arc<Relation>],
-) -> (HashMap<GroupKey, f64>, Route) {
-    let mut answer = sample.group_counts(attrs);
-    let sample_groups = answer.len();
-    let mut agreed: Option<HashMap<GroupKey, f64>> = None;
-    for replicate in replicates {
-        intersect_into(&mut agreed, replicate.group_counts(attrs), |a, v| *a += v);
-    }
-    let k = replicates.len() as f64;
-    for (group, sum) in agreed.unwrap_or_default() {
-        answer.entry(group).or_insert(sum / k);
-    }
-    let bn_groups_added = answer.len() - sample_groups;
-    (
-        answer,
-        Route::Hybrid {
-            sample_groups,
-            bn_groups_added,
-        },
-    )
-}
-
-/// Direct BN point inference as a scalar result: `n · Pr(attrs = values)`,
-/// under the column name the engine would have produced.
+/// Direct BN point inference as a scalar result: [`Themis::point_query_bn`]'s
+/// `n · Pr(attrs = values)`, under the column name the engine would have
+/// produced.
 pub(crate) fn bn_point_result(
     model: &Themis,
     attrs: &[AttrId],
@@ -701,10 +669,9 @@ pub(crate) fn bn_point_result(
 ) -> Result<QueryResult, ExecError> {
     // `decide` only routes to BnPoint when the model has a BN; surface a
     // routing bug as an error rather than a panic.
-    let bn = model.bayesian_network().ok_or_else(|| {
+    let est = model.point_query_bn(attrs, values).map_err(|_| {
         ExecError::Unsupported("BnPoint routing requires a Bayesian network".into())
     })?;
-    let est = model.population_size() * point_probability(bn, attrs, values);
     Ok(QueryResult {
         columns: vec![column],
         rows: vec![vec![Value::Num(est)]],
@@ -715,69 +682,6 @@ pub(crate) fn bn_point_result(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn intersect_keeps_only_groups_present_everywhere() {
-        let mut acc: Option<HashMap<&str, f64>> = None;
-        intersect_into(&mut acc, [("a", 1.0), ("b", 2.0)].into(), |x, v| *x += v);
-        intersect_into(&mut acc, [("a", 3.0), ("c", 9.0)].into(), |x, v| *x += v);
-        intersect_into(&mut acc, [("a", 5.0), ("b", 1.0)].into(), |x, v| *x += v);
-        let m = acc.unwrap();
-        assert_eq!(m.len(), 1);
-        assert_eq!(m["a"], 9.0);
-    }
-
-    #[test]
-    fn intersect_starts_from_the_first_map() {
-        let mut acc: Option<HashMap<u8, f64>> = None;
-        intersect_into(&mut acc, HashMap::from([(1u8, 4.0)]), |x, v| *x += v);
-        assert_eq!(acc.unwrap()[&1], 4.0);
-    }
-
-    #[test]
-    fn rare_groups_require_unanimity() {
-        use themis_data::{Attribute, Domain, Schema};
-        let schema = Schema::new(vec![Attribute::new("x", Domain::indexed("x", 3))]);
-        let relation = |rows: &[(u32, f64)]| {
-            let mut r = Relation::new(Arc::clone(&schema));
-            for &(x, w) in rows {
-                r.push_row_weighted(&[x], w);
-            }
-            r
-        };
-        let sample = relation(&[(2, 1.0)]);
-        // Group 1 misses the second replicate; groups 0 and 2 are in both.
-        let replicates = [
-            Arc::new(relation(&[(0, 2.0), (1, 1.0), (2, 5.0)])),
-            Arc::new(relation(&[(0, 4.0), (2, 7.0)])),
-        ];
-        let (answer, route) = hybrid_group_by(&sample, &[AttrId(0)], &replicates);
-        // The sample keeps its own count for group 2; the agreed group 0
-        // gets the replicates' average; group 1 is damped.
-        assert_eq!(answer, HashMap::from([(vec![2], 1.0), (vec![0], 3.0)]));
-        assert_eq!(
-            route,
-            Route::Hybrid {
-                sample_groups: 1,
-                bn_groups_added: 1,
-            }
-        );
-    }
-
-    #[test]
-    fn zero_replicates_add_no_bn_groups() {
-        let sample = themis_data::paper_example::example_sample();
-        let attrs = [AttrId(1), AttrId(2)];
-        let (answer, route) = hybrid_group_by(&sample, &attrs, &[]);
-        assert_eq!(answer, sample.group_counts(&attrs));
-        assert_eq!(
-            route,
-            Route::Hybrid {
-                sample_groups: answer.len(),
-                bn_groups_added: 0,
-            }
-        );
-    }
 
     #[test]
     fn route_kinds_and_display() {

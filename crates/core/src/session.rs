@@ -864,6 +864,98 @@ mod tests {
     }
 
     #[test]
+    fn zero_replicates_answer_hybrid_sql_from_the_sample_alone() {
+        let s = paper_session(ThemisConfig {
+            k_samples: 0,
+            ..ThemisConfig::default()
+        });
+        let sql = "SELECT o_st, d_st, COUNT(*) FROM flights GROUP BY o_st, d_st";
+        assert_eq!(s.explain(sql).unwrap().route, RouteKind::Hybrid);
+        let hybrid = s.sql(sql).unwrap();
+        let sample = s.sql_sample_only(sql).unwrap();
+        assert_eq!(hybrid.result, sample.result, "the sample rows, bit for bit");
+        assert_eq!(
+            hybrid.route,
+            Route::Hybrid {
+                sample_groups: sample.result.rows.len(),
+                bn_groups_added: 0,
+            }
+        );
+        assert!(matches!(
+            s.sql_bn_only(sql),
+            Err(ThemisError::Exec(ExecError::Unsupported(_)))
+        ));
+    }
+
+    #[test]
+    fn sql_point_queries_and_the_model_api_share_one_point_rule() {
+        // Every 1- and 2-attribute point of the paper example's domain,
+        // date × o_st × d_st = 2 × 3 × 3.
+        let sizes = [2u32, 3, 3];
+        let mut points: Vec<Vec<(usize, u32)>> = Vec::new();
+        for (a, &a_size) in sizes.iter().enumerate() {
+            for u in 0..a_size {
+                points.push(vec![(a, u)]);
+                for (b, &b_size) in sizes.iter().enumerate().skip(a + 1) {
+                    points.extend((0..b_size).map(|v| vec![(a, u), (b, v)]));
+                }
+            }
+        }
+        assert_eq!(points.len(), 8 + 21);
+        for bn_mode in [ThemisConfig::default().bn_mode, None] {
+            let s = paper_session(ThemisConfig {
+                bn_mode,
+                ..ThemisConfig::default()
+            });
+            let model = s.model();
+            let schema = model.reweighted_sample().schema();
+            for point in &points {
+                let attrs: Vec<AttrId> = point.iter().map(|&(a, _)| AttrId(a)).collect();
+                let values: Vec<u32> = point.iter().map(|&(_, v)| v).collect();
+                let filter: Vec<String> = attrs
+                    .iter()
+                    .zip(&values)
+                    .map(|(&a, &v)| {
+                        format!(
+                            "{} = '{}'",
+                            schema.attr(a).name(),
+                            schema.domain(a).label(v)
+                        )
+                    })
+                    .collect();
+                let sql = format!(
+                    "SELECT COUNT(*) FROM flights WHERE {}",
+                    filter.join(" AND ")
+                );
+                let answer = s.sql(&sql).unwrap();
+                let (est, direct) = (answer.scalar().unwrap(), model.point_query(&attrs, &values));
+                let rule = route::point_route(&model, &attrs, &values);
+                let in_sample = model.reweighted_sample().contains_point(&attrs, &values);
+                assert_eq!(answer.route.kind(), rule, "{sql}");
+                assert_eq!(
+                    rule == RouteKind::Sample,
+                    in_sample || bn_mode.is_none(),
+                    "{sql}"
+                );
+                if rule == RouteKind::BayesNet {
+                    assert_eq!(answer.route, Route::BayesNet { k_agreed: 0 }, "{sql}");
+                    assert_eq!(est.to_bits(), direct.to_bits(), "{sql}");
+                    let bn = model.point_query_bn(&attrs, &values).unwrap();
+                    assert_eq!(direct.to_bits(), bn.to_bits(), "{sql}");
+                } else {
+                    // The engine sums per morsel, `point_count` in one pass.
+                    assert_eq!(answer.route, Route::Sample, "{sql}");
+                    assert!(
+                        (est - direct).abs() <= 1e-9 * direct.abs(),
+                        "{sql}: {est} vs {direct}"
+                    );
+                    assert_eq!(direct, model.point_query_sample(&attrs, &values), "{sql}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn parse_and_exec_errors_are_themis_errors_not_panics() {
         let s = open_world_session();
         assert!(matches!(

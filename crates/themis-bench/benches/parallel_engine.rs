@@ -4,7 +4,9 @@
 //! head-to-head at 1/2/4/8 threads and prints a speedup table via the
 //! shared report formatter, which the criterion shim cannot express. Every
 //! parallel result is checked against the serial engine's before timing is
-//! trusted.
+//! trusted. The serial engine is `themis_query::execute`, the one serial
+//! interpreter, run with default options (no limits armed, so its guard
+//! checks never trip).
 //!
 //! Each point splits its speedup over the serial engine in two:
 //!
@@ -102,8 +104,9 @@ fn main() {
     let mut group_by_speedup_at_4 = 0.0;
     for (name, cat, sql) in workloads {
         let query: Query = themis_sql::parse(sql).expect(sql);
-        let oracle = execute(cat, &query).expect(sql);
-        let serial_s = best_of(|| execute(cat, &query).expect(sql));
+        let serial = EngineOptions::default();
+        let oracle = execute(cat, &query, &serial).expect(sql);
+        let serial_s = best_of(|| execute(cat, &query, &serial).expect(sql));
 
         let mut cells = vec![name.to_string(), report::f(serial_s * 1e3)];
         let mut json_points = Vec::new();

@@ -11,8 +11,7 @@ use rand::SeedableRng;
 use std::collections::HashMap;
 use themis_bench::report::{banner, f, table};
 use themis_bench::setup::{flights_setup, Scale};
-use themis_core::metrics::percent_difference;
-use themis_core::{ReweightMethod, Themis, ThemisConfig, ThemisSession};
+use themis_core::{group_by_error, ReweightMethod, Themis, ThemisConfig, ThemisSession};
 use themis_data::datasets::flights::{FlightsConfig, FlightsDataset};
 use themis_data::Relation;
 use themis_query::{Catalog, EngineOptions, QueryResult};
@@ -34,21 +33,14 @@ const QUERIES: [(&str, &str); 6] = [
 /// Average percent difference between a true and estimated result over the
 /// union of groups (first aggregate column).
 fn result_error(truth: &QueryResult, est: &QueryResult) -> f64 {
-    let t = truth.to_map();
-    let e = est.to_map();
-    let keys: std::collections::HashSet<&Vec<String>> = t.keys().chain(e.keys()).collect();
-    if keys.is_empty() {
-        return 0.0;
-    }
-    let total: f64 = keys
-        .iter()
-        .map(|k| {
-            let tv = t.get(*k).map(|v| v[0]).unwrap_or(0.0);
-            let ev = e.get(*k).map(|v| v[0]).unwrap_or(0.0);
-            percent_difference(tv, ev)
-        })
-        .sum();
-    total / keys.len() as f64
+    let first_column = |result: &QueryResult| -> HashMap<Vec<String>, f64> {
+        result
+            .to_map()
+            .into_iter()
+            .map(|(group, values)| (group, values[0]))
+            .collect()
+    };
+    group_by_error(&first_column(truth), &first_column(est))
 }
 
 fn truth_result(population: &Relation, sql: &str) -> QueryResult {

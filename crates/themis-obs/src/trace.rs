@@ -207,6 +207,8 @@ impl OpenSpan {
 struct TraceState {
     stack: Vec<OpenSpan>,
     roots: Vec<TraceSpan>,
+    /// Instrumentation calls received: see [`TraceSink::calls`].
+    calls: u64,
 }
 
 impl TraceState {
@@ -276,11 +278,28 @@ impl TraceSink {
         }
     }
 
+    /// `lock` for an instrumentation call, counted.
+    fn lock_call(&self) -> Option<MutexGuard<'_, TraceState>> {
+        let mut state = self.lock()?;
+        state.calls += 1;
+        Some(state)
+    }
+
+    /// How many instrumentation calls (`span`, `add`, `add_counts`,
+    /// `note`) this sink has received; 0 for a disabled sink, which counts
+    /// nothing. Instrumented code hoists [`TraceSink::is_enabled`] out of
+    /// its hot loops, so a query makes at most as many calls on a disabled
+    /// sink as it makes on an enabled one: this count bounds the calls a
+    /// disabled sink costs.
+    pub fn calls(&self) -> u64 {
+        self.lock().map_or(0, |state| state.calls)
+    }
+
     /// Open a span; it closes (and is attached to its parent) when the
     /// returned guard drops. Spans must nest: open/close only from the
     /// query's orchestrating thread.
     pub fn span(&self, name: &str) -> SpanGuard {
-        if let Some(mut state) = self.lock() {
+        if let Some(mut state) = self.lock_call() {
             state.stack.push(OpenSpan {
                 name: name.to_string(),
                 started: Instant::now(),
@@ -306,7 +325,7 @@ impl TraceSink {
     /// Counts with no open span are dropped — instrumented regions always
     /// run inside a span.
     pub fn add_counts(&self, counts: &[(&str, u64)]) {
-        let Some(mut state) = self.lock() else {
+        let Some(mut state) = self.lock_call() else {
             return;
         };
         let Some(open) = state.stack.last_mut() else {
@@ -323,7 +342,7 @@ impl TraceSink {
     /// Attach a string annotation to the innermost open span (last write
     /// per key wins).
     pub fn note(&self, key: &str, value: &str) {
-        let Some(mut state) = self.lock() else {
+        let Some(mut state) = self.lock_call() else {
             return;
         };
         let Some(open) = state.stack.last_mut() else {
@@ -402,6 +421,7 @@ mod tests {
         }
         assert!(sink.finish().is_empty());
         assert_eq!(sink, TraceSink::default());
+        assert_eq!(sink.calls(), 0);
     }
 
     #[test]
@@ -428,6 +448,10 @@ mod tests {
             vec![("morsels".to_string(), 2), ("rows".to_string(), 17)]
         );
         assert_eq!(e.note("engine"), Some("parallel"));
+        // Two spans, three adds and a note; neither `finish` nor `calls`
+        // itself counts.
+        assert_eq!(sink.calls(), 6);
+        assert_eq!(sink.calls(), 6);
         // The sink is drained and reusable.
         assert!(sink.finish().is_empty());
     }

@@ -3,14 +3,15 @@
 //!
 //! This module is the **reference engine**: a straightforward single-threaded
 //! interpreter whose behaviour defines the semantics the morsel-driven
-//! parallel engine ([`crate::exec_parallel`]) must reproduce exactly. The
-//! query *planning* layer (name resolution, mask compilation, select
-//! compilation — `plan_scan` / `plan_join`) and the output of each
-//! aggregate (`output_value`) are shared by both engines so they cannot
-//! drift apart. The per-row aggregate *fold* (`fold_row`) drives the serial
-//! engine and the parallel join probe; the parallel scan kernel folds
-//! column at a time instead, and a unit test holds it bit for bit to
-//! `fold_row`.
+//! parallel engine ([`crate::exec_parallel`]) must reproduce exactly. It has
+//! one entry point, [`execute`], which runs under the same [`QueryGuard`]
+//! as the morsel engine. The query *planning* layer
+//! (name resolution, mask compilation, select compilation — `plan_scan` /
+//! `plan_join`) and the output of each aggregate (`output_value`) are
+//! shared by both engines so they cannot drift apart. The per-row aggregate
+//! *fold* (`fold_row`) drives the serial engine and the parallel join
+//! probe; the parallel scan kernel folds column at a time instead, and a
+//! unit test holds it bit for bit to `fold_row`.
 
 use crate::catalog::Catalog;
 use crate::guard::{QueryGuard, RowMeter};
@@ -72,47 +73,32 @@ pub fn run_sql(
     crate::exec_parallel::execute_parallel(catalog, &query, opts)
 }
 
-/// Execute a parsed query on the serial reference engine.
-pub fn execute(catalog: &Catalog, query: &Query) -> Result<QueryResult, ExecError> {
-    let mut result = match query.from.len() {
-        1 => execute_scan(catalog, query)?,
-        2 => execute_join(catalog, query)?,
-        n => return Err(ExecError::Unsupported(format!("{n} tables in FROM"))),
-    };
-    if let Some(order) = &query.order_by {
-        apply_order_by(&mut result, order)?;
-    }
-    if let Some(limit) = query.limit {
-        result.rows.truncate(limit);
-    }
-    Ok(result)
-}
-
-/// Execute a parsed query on the serial engine under a
-/// [`QueryGuard`] armed from `opts` — the serial
-/// counterpart to the governed [`crate::execute_parallel`].
+/// Execute a parsed query on the serial reference engine, under a
+/// [`QueryGuard`] armed from `opts` — the serial counterpart to the
+/// governed [`crate::execute_parallel`].
 ///
-/// With no limits, token, or fault plan configured this is bit-identical to
-/// [`execute`] (the guard is inert and the drive loops fold rows in the same
-/// order). `opts.threads` is ignored — execution is serial — but
-/// `opts.morsel_rows` is honoured as the boundary stride so morsel indices
-/// (and therefore injected [`FaultPlan`](crate::guard::FaultPlan) faults and
-/// cooperative checks) line up with the parallel engine's decomposition: the
-/// same fault trips at the same point on both engines, yielding the same
-/// typed error. Panics below (e.g. the injected worker-panic fault) are
-/// contained and surface as [`ExecError::Internal`].
-pub fn execute_guarded(
+/// The guard never changes a result: armed or not, the drive loops fold
+/// rows in the same order. `opts.threads` is ignored — execution is serial
+/// — but `opts.morsel_rows` is honoured as the boundary stride so morsel
+/// indices (and therefore injected [`FaultPlan`](crate::guard::FaultPlan)
+/// faults and cooperative checks) line up with the parallel engine's
+/// decomposition: the same fault trips at the same point on both engines,
+/// yielding the same typed error. Panics below (e.g. the injected
+/// worker-panic fault) are contained and surface as
+/// [`ExecError::Internal`]. `opts.trace` is ignored as well: this engine is
+/// a test oracle, and only the morsel engine that answers queries records
+/// spans and counters.
+pub fn execute(
     catalog: &Catalog,
     query: &Query,
     opts: &crate::EngineOptions,
 ) -> Result<QueryResult, ExecError> {
     let guard = QueryGuard::arm(opts);
     let morsel_rows = opts.morsel_rows.max(1);
-    let _span = opts.trace.span("execute_serial");
     crate::guard::contain_panics(|| {
         let mut result = match query.from.len() {
-            1 => scan_guarded(catalog, query, morsel_rows, &guard, &opts.trace)?,
-            2 => join_guarded(catalog, query, morsel_rows, &guard, &opts.trace)?,
+            1 => serial_scan(catalog, query, morsel_rows, &guard)?,
+            2 => serial_join(catalog, query, morsel_rows, &guard)?,
             n => return Err(ExecError::Unsupported(format!("{n} tables in FROM"))),
         };
         if let Some(order) = &query.order_by {
@@ -121,7 +107,6 @@ pub fn execute_guarded(
         if let Some(limit) = query.limit {
             result.rows.truncate(limit);
         }
-        opts.trace.add("groups_out", result.rows.len() as u64);
         Ok(result)
     })
 }
@@ -515,8 +500,7 @@ fn new_groups(select: &CompiledSelect) -> HashMap<Vec<u32>, Accum> {
 }
 
 /// Fold one input row into the serial group table (key lookup + shared
-/// [`fold_row`]). Both serial drive loops (plain and guarded) go through
-/// this, so they agree bit-for-bit.
+/// [`fold_row`]). The scan and join drive loops both go through this.
 fn fold_into(
     select: &CompiledSelect,
     bindings: &[(&str, &Relation)],
@@ -545,20 +529,6 @@ fn fold_into(
         row_idx,
         weight,
     );
-}
-
-/// Shared aggregation driver over an iterator of joined rows.
-fn aggregate_rows(
-    select: &CompiledSelect,
-    bindings: &[(&str, &Relation)],
-    rows: impl Iterator<Item = (Vec<usize>, f64)>,
-) -> QueryResult {
-    let numeric = agg_numeric_tables(select, bindings);
-    let mut groups = new_groups(select);
-    for (row_idx, weight) in rows {
-        fold_into(select, bindings, &numeric, &mut groups, &row_idx, weight);
-    }
-    finalize_groups(select, bindings, groups)
 }
 
 /// The output value of one aggregate from its group's accumulator: AVG
@@ -678,34 +648,14 @@ pub(crate) fn plan_scan<'a>(
     })
 }
 
-fn execute_scan(catalog: &Catalog, query: &Query) -> Result<QueryResult, ExecError> {
-    let ScanPlan {
-        rel,
-        bindings,
-        masks,
-        select,
-    } = plan_scan(catalog, query)?;
-    let weights = rel.weights();
-    let rows = (0..rel.len()).filter_map(move |r| {
-        for (attr, mask) in &masks {
-            if !mask[rel.value(r, *attr) as usize] {
-                return None;
-            }
-        }
-        Some((vec![r], weights[r]))
-    });
-    Ok(aggregate_rows(&select, &bindings, rows))
-}
-
-/// Guarded serial scan: same fold order as [`execute_scan`], with guard
-/// hooks at morsel boundaries (`row / morsel_rows`, matching the parallel
-/// decomposition) and row charges via [`RowMeter`].
-fn scan_guarded(
+/// Serial scan: rows fold in row order, with guard hooks at morsel
+/// boundaries (`row / morsel_rows`, matching the parallel decomposition)
+/// and row charges via [`RowMeter`].
+fn serial_scan(
     catalog: &Catalog,
     query: &Query,
     morsel_rows: usize,
     guard: &QueryGuard,
-    trace: &themis_obs::TraceSink,
 ) -> Result<QueryResult, ExecError> {
     let ScanPlan {
         rel,
@@ -717,40 +667,22 @@ fn scan_guarded(
     let numeric = agg_numeric_tables(&select, &bindings);
     let mut groups = new_groups(&select);
     let mut meter = RowMeter::new(guard);
-    let mut morsels = 0u64;
-    let mut rows_masked = 0u64;
-    let mut rows_folded = 0u64;
     'rows: for r in 0..rel.len() {
         if r % morsel_rows == 0 {
             meter.flush()?;
-            morsels += 1;
             guard.at_morsel((r / morsel_rows) as u64)?;
             guard.check_groups(groups.len())?;
         }
         meter.tick()?;
         for (attr, mask) in &masks {
             if !mask[rel.value(r, *attr) as usize] {
-                rows_masked += 1;
                 continue 'rows;
             }
         }
-        rows_folded += 1;
         fold_into(&select, &bindings, &numeric, &mut groups, &[r], weights[r]);
     }
     meter.flush()?;
     guard.check_groups(groups.len())?;
-    if trace.is_enabled() {
-        // Same counter names and — because the guarded drive loop mirrors
-        // the morsel decomposition exactly — the same totals as the
-        // parallel engine's per-morsel tallies.
-        trace.add_counts(&[
-            ("guard_checks", morsels + meter.checks()),
-            ("morsels", morsels),
-            ("rows_folded", rows_folded),
-            ("rows_masked", rows_masked),
-            ("rows_scanned", rel.len() as u64),
-        ]);
-    }
     Ok(finalize_groups(&select, &bindings, groups))
 }
 
@@ -852,76 +784,30 @@ pub(crate) fn plan_join<'a>(
     })
 }
 
-fn execute_join(catalog: &Catalog, query: &Query) -> Result<QueryResult, ExecError> {
-    let plan = plan_join(catalog, query)?;
-    let (left, right) = (plan.left, plan.right);
-
-    // Build a hash table over the right side keyed by the join columns.
-    let mut built: HashMap<Vec<u32>, Vec<usize>> = HashMap::new();
-    for row in 0..right.len() {
-        if !plan.passes(1, row) {
-            continue;
-        }
-        let key: Vec<u32> = plan
-            .join_keys
-            .iter()
-            .map(|(_, r)| right.value(row, r.attr))
-            .collect();
-        built.entry(key).or_default().push(row);
-    }
-
-    let mut joined: Vec<(Vec<usize>, f64)> = Vec::new();
-    for lrow in 0..left.len() {
-        if !plan.passes(0, lrow) {
-            continue;
-        }
-        let key: Vec<u32> = plan
-            .join_keys
-            .iter()
-            .map(|(l, _)| left.value(lrow, l.attr))
-            .collect();
-        if let Some(matches) = built.get(&key) {
-            for &rrow in matches {
-                joined.push((
-                    vec![lrow, rrow],
-                    left.weights()[lrow] * right.weights()[rrow],
-                ));
-            }
-        }
-    }
-    Ok(aggregate_rows(&plan.select, &plan.bindings, joined.into_iter()))
-}
-
-/// Guarded serial hash join: same build/probe/fold order as
-/// [`execute_join`] (probe pairs fold inline instead of materializing, which
-/// preserves the order exactly), with guard hooks at morsel boundaries on
-/// both sides. Charges mirror the parallel engine's: every build row, every
-/// probe row, and every joined pair folded.
-fn join_guarded(
+/// Serial hash join: build a table over the right side in row order, then
+/// probe with the left side in row order, folding each joined pair as it is
+/// found, with guard hooks at morsel boundaries on both sides. Charges
+/// mirror the parallel engine's: every build row, every probe row, and
+/// every joined pair folded.
+fn serial_join(
     catalog: &Catalog,
     query: &Query,
     morsel_rows: usize,
     guard: &QueryGuard,
-    trace: &themis_obs::TraceSink,
 ) -> Result<QueryResult, ExecError> {
     let plan = plan_join(catalog, query)?;
     let (left, right) = (plan.left, plan.right);
     let numeric = agg_numeric_tables(&plan.select, &plan.bindings);
     let mut meter = RowMeter::new(guard);
-    let mut morsels = 0u64;
-    let mut rows_masked = 0u64;
-    let mut pairs_folded = 0u64;
 
     let mut built: HashMap<Vec<u32>, Vec<usize>> = HashMap::new();
     for row in 0..right.len() {
         if row % morsel_rows == 0 {
             meter.flush()?;
-            morsels += 1;
             guard.at_morsel((row / morsel_rows) as u64)?;
         }
         meter.tick()?;
         if !plan.passes(1, row) {
-            rows_masked += 1;
             continue;
         }
         let key: Vec<u32> = plan
@@ -938,13 +824,11 @@ fn join_guarded(
     for (lrow, &lweight) in lw.iter().enumerate() {
         if lrow % morsel_rows == 0 {
             meter.flush()?;
-            morsels += 1;
             guard.at_morsel((lrow / morsel_rows) as u64)?;
             guard.check_groups(groups.len())?;
         }
         meter.tick()?;
         if !plan.passes(0, lrow) {
-            rows_masked += 1;
             continue;
         }
         let key: Vec<u32> = plan
@@ -955,7 +839,6 @@ fn join_guarded(
         if let Some(matches) = built.get(&key) {
             for &rrow in matches {
                 meter.tick()?;
-                pairs_folded += 1;
                 fold_into(
                     &plan.select,
                     &plan.bindings,
@@ -969,15 +852,6 @@ fn join_guarded(
     }
     meter.flush()?;
     guard.check_groups(groups.len())?;
-    if trace.is_enabled() {
-        trace.add_counts(&[
-            ("guard_checks", morsels + meter.checks()),
-            ("morsels", morsels),
-            ("pairs_folded", pairs_folded),
-            ("rows_masked", rows_masked),
-            ("rows_scanned", (right.len() + left.len()) as u64),
-        ]);
-    }
     Ok(finalize_groups(&plan.select, &plan.bindings, groups))
 }
 
@@ -991,7 +865,7 @@ mod tests {
     /// which drives the morsel engine).
     fn run_sql(catalog: &Catalog, sql: &str) -> Result<QueryResult, ExecError> {
         let query = themis_sql::parse(sql).map_err(|e| ExecError::Parse(e.to_string()))?;
-        execute(catalog, &query)
+        execute(catalog, &query, &crate::EngineOptions::default())
     }
 
     fn catalog() -> Catalog {

@@ -175,8 +175,8 @@ impl EngineOptions {
 /// observe the deadline/cancellation token and charge row budgets at morsel
 /// and stride boundaries, a tripped limit surfaces as
 /// [`ExecError::Governed`], and a worker panic is contained by the pool and
-/// surfaces as [`ExecError::Internal`] — identical to the errors the guarded
-/// serial engine ([`crate::execute_guarded`]) produces for the same fault.
+/// surfaces as [`ExecError::Internal`] — identical to the errors the serial
+/// engine ([`crate::execute`]) produces for the same fault.
 pub fn execute_parallel(
     catalog: &Catalog,
     query: &Query,
@@ -1011,7 +1011,7 @@ mod tests {
             "SELECT o_st, COUNT(*) AS n FROM flights GROUP BY o_st ORDER BY n DESC LIMIT 1",
         ] {
             let query = themis_sql::parse(sql).unwrap();
-            let serial = crate::exec::execute(&c, &query).unwrap();
+            let serial = crate::exec::execute(&c, &query, &opts()).unwrap();
             // Integer-valued weights ⇒ merges are exact ⇒ full equality.
             assert_eq!(run(&c, sql), serial, "{sql}");
         }
@@ -1026,7 +1026,7 @@ mod tests {
              WHERE t.d_st = s.o_st AND t.d_st IN ('NC') GROUP BY t.o_st, s.d_st",
         ] {
             let query = themis_sql::parse(sql).unwrap();
-            let serial = crate::exec::execute(&c, &query).unwrap();
+            let serial = crate::exec::execute(&c, &query, &opts()).unwrap();
             assert_eq!(run(&c, sql), serial, "{sql}");
         }
     }
@@ -1057,7 +1057,7 @@ mod tests {
         c.register("t", rel);
         let sql = "SELECT x, COUNT(*) FROM t GROUP BY x";
         let query = themis_sql::parse(sql).unwrap();
-        let serial = crate::exec::execute(&c, &query).unwrap();
+        let serial = crate::exec::execute(&c, &query, &opts()).unwrap();
         let parallel = crate::run_sql(
             &c,
             sql,
@@ -1114,7 +1114,7 @@ mod tests {
             "SELECT COUNT(*) FROM flights t, flights s",
         ] {
             let query = themis_sql::parse(sql).unwrap();
-            let serial = crate::exec::execute(&c, &query).unwrap_err();
+            let serial = crate::exec::execute(&c, &query, &opts()).unwrap_err();
             let parallel = execute_parallel(&c, &query, &opts()).unwrap_err();
             assert_eq!(parallel, serial, "{sql}");
         }

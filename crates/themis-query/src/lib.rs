@@ -20,7 +20,8 @@
 //! from the caller, runs morsels inline at `threads: 1`, and produces
 //! bit-identical results at every thread count for a fixed `morsel_rows`.
 //! The **serial interpreter** ([`execute`]) is the reference oracle the
-//! morsel engine is differentially tested against.
+//! morsel engine is differentially tested against. Both take the same
+//! [`EngineOptions`].
 //!
 //! [`Agreement`] runs one grouped query, compiled once, over several
 //! relations that share a schema (the K BN replicates) and keeps the groups
@@ -39,20 +40,21 @@
 //! [`FaultPlan`] — see [`guard`]. Both engines check the armed
 //! [`QueryGuard`] at morsel and row-fold boundaries; a tripped limit is a
 //! typed [`ExecError::Governed`] and a contained worker panic is
-//! [`ExecError::Internal`] — never a process abort. [`execute_guarded`] is
-//! the serial engine under the same guard, used by the fault-injection
-//! differential suites.
+//! [`ExecError::Internal`] — never a process abort. The serial engine
+//! strides its guard checks by `morsel_rows`, so the fault-injection
+//! differential suites see the same fault trip the same way on both.
 //!
 //! ## Observability
 //!
 //! [`EngineOptions`] carries a [`TraceSink`] (from `themis-obs`,
-//! re-exported here). When enabled, both engines tally per-morsel counters
-//! — `morsels`, `rows_scanned`, `rows_masked`, `rows_folded` /
+//! re-exported here). When enabled, the morsel engine tallies per-morsel
+//! counters — `morsels`, `rows_scanned`, `rows_masked`, `rows_folded` /
 //! `pairs_folded`, `guard_checks`, `groups_out` — into the innermost open
 //! span. Counters are summed per morsel, never per worker, so a trace's
 //! counter totals are identical at every thread count; tracing never
 //! touches result values, so traced execution is bit-identical to
 //! untraced. The default sink is disabled and costs one branch per morsel.
+//! The serial oracle records no trace.
 //!
 //! ## Catalogs share relations
 //!
@@ -72,7 +74,7 @@ pub mod value;
 
 pub use agreement::Agreement;
 pub use catalog::Catalog;
-pub use exec::{apply_order_by, execute, execute_guarded, run_sql, ExecError};
+pub use exec::{apply_order_by, execute, run_sql, ExecError};
 pub use exec_parallel::{execute_parallel, EngineOptions, DEFAULT_MORSEL_ROWS};
 pub use guard::{CancelToken, FaultPlan, Limits, QueryGuard, Trip, GUARD_STRIDE};
 pub use themis_obs::{saturating_micros, QueryTrace, TraceSink, TraceSpan};

@@ -49,7 +49,7 @@ fn assert_agree(sql: &str, serial: &QueryResult, parallel: &QueryResult) {
 
 fn run_both(catalog: &Catalog, sql: &str, opts: &EngineOptions) {
     let query = themis_sql::parse(sql).expect(sql);
-    let serial = themis_query::execute(catalog, &query).expect(sql);
+    let serial = themis_query::execute(catalog, &query, opts).expect(sql);
     let parallel = themis_query::execute_parallel(catalog, &query, opts).expect(sql);
     assert_agree(sql, &serial, &parallel);
 }
@@ -85,7 +85,7 @@ proptest! {
     /// Adversarial shapes — self-join blowups, max-cardinality GROUP BY,
     /// zero-row inputs, zero-selectivity filters — agree like any other
     /// query. These are the inputs governance budgets exist for, so the
-    /// unguarded engines must at least concur on them.
+    /// engines must at least concur on them with no limits armed.
     #[test]
     fn adversarial_shapes_agree(
         rows in adversarial_rows_strategy(),

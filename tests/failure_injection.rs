@@ -11,7 +11,7 @@ use themis_core::{ReweightMethod, Themis, ThemisConfig};
 use themis_data::paper_example::{example_population, example_sample};
 use themis_data::{AttrId, Relation};
 use themis_query::{
-    execute_guarded, CancelToken, Catalog, EngineOptions, ExecError, FaultPlan, Limits, Trip,
+    execute, CancelToken, Catalog, EngineOptions, ExecError, FaultPlan, Limits, Trip,
 };
 use themis_reweight::IpfOptions;
 use themis_tests::querygen::{query_strategy, random_relation, rows_strategy, test_schema, SIZES};
@@ -187,7 +187,7 @@ fn parallel_engine_errors_match_serial() {
     ];
     for (sql, expected_kind) in cases {
         let query = themis_sql::parse(sql).expect(sql);
-        let serial = themis_query::execute(&catalog, &query).unwrap_err();
+        let serial = execute(&catalog, &query, &EngineOptions::default()).unwrap_err();
         assert!(expected_kind(&serial), "{sql}: serial gave {serial:?}");
         for (threads, morsel_rows) in [(2, 1), (4, 3), (8, 2048)] {
             let opts = EngineOptions {
@@ -290,7 +290,7 @@ fn injected_faults_yield_identical_typed_errors_from_both_engines() {
             let query = themis_sql::parse(sql).expect(sql);
             for (threads, morsel_rows) in CONFIGS {
                 let opts = governed_opts(threads, morsel_rows, limits.clone(), fault.clone());
-                let serial = execute_guarded(&catalog, &query, &opts)
+                let serial = execute(&catalog, &query, &opts)
                     .expect_err("serial must trip the injected fault");
                 let parallel = themis_query::execute_parallel(&catalog, &query, &opts)
                     .expect_err("parallel must trip the injected fault");
@@ -371,8 +371,7 @@ fn tripped_limits_are_identical_typed_errors() {
                 cancel: cancel.clone(),
                 ..EngineOptions::default()
             };
-            let serial =
-                execute_guarded(&catalog, &query, &opts).expect_err("serial must trip");
+            let serial = execute(&catalog, &query, &opts).expect_err("serial must trip");
             let parallel = themis_query::execute_parallel(&catalog, &query, &opts)
                 .expect_err("parallel must trip");
             assert_eq!(
@@ -388,7 +387,7 @@ fn tripped_limits_are_identical_typed_errors() {
 }
 
 /// Zero-row inputs reach no morsel boundary: no fault fires, no budget
-/// charges, and the guarded result is bit-identical to the unguarded one on
+/// charges, and the armed result is bit-identical to the unarmed one on
 /// both engines.
 #[test]
 fn zero_row_inputs_fire_no_faults_on_either_engine() {
@@ -404,7 +403,7 @@ fn zero_row_inputs_fire_no_faults_on_either_engine() {
     ];
     for sql in GOVERNED_QUERIES {
         let query = themis_sql::parse(sql).expect(sql);
-        let oracle = themis_query::execute(&catalog, &query).expect(sql);
+        let oracle = execute(&catalog, &query, &EngineOptions::default()).expect(sql);
         for fault in &faults {
             for (threads, morsel_rows) in CONFIGS {
                 let opts = governed_opts(
@@ -417,10 +416,10 @@ fn zero_row_inputs_fire_no_faults_on_either_engine() {
                     },
                     fault.clone(),
                 );
-                let serial = execute_guarded(&catalog, &query, &opts).expect(sql);
+                let serial = execute(&catalog, &query, &opts).expect(sql);
                 let parallel = themis_query::execute_parallel(&catalog, &query, &opts).expect(sql);
-                assert_eq!(serial, oracle, "{sql}: serial guarded differs on empty input");
-                assert_eq!(parallel, oracle, "{sql}: parallel guarded differs on empty input");
+                assert_eq!(serial, oracle, "{sql}: armed serial differs on empty input");
+                assert_eq!(parallel, oracle, "{sql}: armed parallel differs on empty input");
             }
         }
     }
@@ -429,8 +428,8 @@ fn zero_row_inputs_fire_no_faults_on_either_engine() {
 proptest! {
     /// Differential acceptance: with never-tripping limits (plus an armed
     /// but never-cancelled token) the guard's checks all execute, yet both
-    /// engines stay **bit-identical** to their unguarded selves on random
-    /// relations and queries.
+    /// engines stay **bit-identical** to themselves run with unarmed
+    /// options on random relations and queries.
     #[test]
     fn guarded_execution_with_headroom_is_bit_identical(
         rows in rows_strategy(),
@@ -452,8 +451,8 @@ proptest! {
             ..EngineOptions::default()
         };
         let plain = EngineOptions { threads: 4, morsel_rows: 7, ..EngineOptions::default() };
-        let serial = themis_query::execute(&catalog, &query).expect(&sql);
-        let serial_guarded = execute_guarded(&catalog, &query, &guarded).expect(&sql);
+        let serial = execute(&catalog, &query, &plain).expect(&sql);
+        let serial_guarded = execute(&catalog, &query, &guarded).expect(&sql);
         prop_assert_eq!(&serial, &serial_guarded, "serial guarded diverged: {}", &sql);
         let parallel = themis_query::execute_parallel(&catalog, &query, &plain).expect(&sql);
         let parallel_guarded =
@@ -592,4 +591,216 @@ fn noisy_aggregate_totals_disagreeing_with_n_still_work() {
     // BN marginal is normalized even though counts sum to 14 > n.
     let bn = t.bayesian_network().unwrap();
     assert!(bn.is_normalized(1e-6));
+}
+
+// ---------------------------------------------------------------------------
+// Untrusted inputs: wire JSON, request dispatch, ingest batches.
+// ---------------------------------------------------------------------------
+
+/// The wire protocol's own vocabulary (keys, op names, fault kinds), so
+/// generated values reach every branch of request parsing rather than
+/// stopping at the missing-`op` error.
+const WIRE_WORDS: [&str; 24] = [
+    "op",
+    "query",
+    "explain",
+    "set",
+    "ingest",
+    "stats",
+    "metrics",
+    "sql",
+    "trace",
+    "table",
+    "rows",
+    "deadline_ms",
+    "max_rows",
+    "max_groups",
+    "threads",
+    "morsel_rows",
+    "fault",
+    "kind",
+    "morsel",
+    "delay_ms",
+    "slow_morsel",
+    "panic_at_morsel",
+    "budget_exhaust",
+    "none",
+];
+
+/// A random JSON value at most `depth` containers deep, its keys and most
+/// of its strings drawn from [`WIRE_WORDS`], its numbers from the edges
+/// of what `as_u64` accepts.
+fn random_json(rng: &mut rand::rngs::SmallRng, depth: u32) -> themis_serve::Json {
+    use rand::Rng;
+    use themis_serve::Json;
+    const NUMBERS: [f64; 10] = [
+        0.0,
+        -0.0,
+        1.0,
+        7.0,
+        -1.0,
+        0.5,
+        1e20,
+        18_446_744_073_709_551_616.0,
+        1e308,
+        -1e308,
+    ];
+    const STRINGS: [&str; 4] = ["", "SELECT COUNT(*) FROM t", "01", "\u{1}é"];
+    let word = |rng: &mut rand::rngs::SmallRng| WIRE_WORDS[rng.gen_range(0..WIRE_WORDS.len())];
+    match rng.gen_range(0..if depth == 0 { 5 } else { 7 }) {
+        0 => Json::Null,
+        1 => Json::Bool(rng.gen()),
+        2 => Json::Num(NUMBERS[rng.gen_range(0..NUMBERS.len())]),
+        3 => Json::Str(word(rng).to_string()),
+        4 => Json::Str(STRINGS[rng.gen_range(0..STRINGS.len())].to_string()),
+        5 => Json::Arr(
+            (0..rng.gen_range(0..4))
+                .map(|_| random_json(rng, depth - 1))
+                .collect(),
+        ),
+        _ => Json::Obj(
+            (0..rng.gen_range(0..6))
+                .map(|_| (word(rng).to_string(), random_json(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+/// A paper-example session with the answer cache on, as a server holds it.
+fn paper_session() -> themis_core::ThemisSession {
+    let p = example_population();
+    let aggregates = AggregateSet::from_results(vec![
+        AggregateResult::compute(&p, &[AttrId(0)]),
+        AggregateResult::compute(&p, &[AttrId(1), AttrId(2)]),
+    ]);
+    themis_core::ThemisSession::new(Themis::build(
+        example_sample(),
+        aggregates,
+        10.0,
+        ThemisConfig::default(),
+    ))
+    .with_answer_cache(32)
+}
+
+/// Labels of the paper example's columns next to labels of none of them.
+const INGEST_LABELS: &str = "(01|02|FL|NC|NY|ZZ|fl|NY |0|)";
+
+proptest! {
+    /// The wire JSON parser never panics, whatever the line; what it
+    /// accepts serializes and parses back to the same value.
+    #[test]
+    fn json_parser_never_panics(
+        line in ".{0,160}",
+        tokens in prop::collection::vec(
+            "(\\{|\\}|\\[|\\]|:|,|\"[a-z]{0,3}\"|\"op\"|-?[0-9]{1,3}(\\.[0-9])?(e-?[0-9]{1,3})?|true|false|null|\"\\\\u[0-9a-f]{4}\"|\\\\|.)",
+            0..40,
+        ),
+    ) {
+        for input in [line, tokens.concat()] {
+            if let Ok(value) = themis_serve::Json::parse(&input) {
+                let again = themis_serve::Json::parse(&value.to_string());
+                prop_assert_eq!(again.as_ref(), Ok(&value), "{}", &input);
+            }
+        }
+    }
+
+    /// Nesting far past the parser's depth cap, in any mix of arrays and
+    /// objects, closed or not, is an error — never a stack overflow.
+    #[test]
+    fn json_nesting_past_the_depth_cap_is_an_error(
+        arrays in prop::collection::vec(any::<bool>(), 65..20_000),
+        closed in any::<bool>(),
+    ) {
+        let mut line: String = arrays
+            .iter()
+            .map(|&array| if array { "[" } else { "{\"k\":" })
+            .collect();
+        line.push('1');
+        if closed {
+            line.extend(arrays.iter().rev().map(|&array| if array { ']' } else { '}' }));
+        }
+        prop_assert!(themis_serve::Json::parse(&line).is_err());
+    }
+
+    /// Request dispatch never panics on a parsed value: anything that is
+    /// not an object with a string `op` is an `Err`, and whatever parses as
+    /// a `set` applies to engine options without panicking either.
+    #[test]
+    fn request_parsing_never_panics(
+        seed in any::<u64>(),
+        depth in 0u32..4,
+        with_op in any::<bool>(),
+    ) {
+        use rand::{Rng, SeedableRng};
+        use themis_serve::protocol::{parse_request, Request};
+        use themis_serve::Json;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        let value = if with_op {
+            // One of the seven ops, then each member key at even odds.
+            let op = WIRE_WORDS[rng.gen_range(0..7usize)];
+            let mut pairs = vec![("op".to_string(), Json::Str(op.to_string()))];
+            for &key in &WIRE_WORDS[7..20] {
+                if rng.gen() {
+                    // String members and ingest rows are often well-typed,
+                    // so the checks past a member's type run too.
+                    let member = match key {
+                        "table" | "sql" if rng.gen() => Json::Str(op.to_string()),
+                        "rows" if rng.gen() => Json::Arr(vec![
+                            Json::Arr(vec![Json::Str("01".into()), random_json(&mut rng, 0)]),
+                            random_json(&mut rng, 1),
+                        ]),
+                        _ => random_json(&mut rng, depth),
+                    };
+                    pairs.push((key.to_string(), member));
+                }
+            }
+            Json::Obj(pairs)
+        } else {
+            random_json(&mut rng, depth)
+        };
+        let has_op = value.get("op").and_then(Json::as_str).is_some();
+        match parse_request(&value) {
+            Ok(Request::Set(set)) => set.apply(&mut EngineOptions::with_threads(1), true),
+            Ok(_) => {}
+            Err(message) => prop_assert!(!message.is_empty()),
+        }
+        if !has_op {
+            prop_assert!(parse_request(&value).is_err(), "{}", value);
+        }
+    }
+
+    /// A batch with at least one bad row — the wrong arity (the empty row
+    /// included) or a label outside its column's domain — is rejected whole
+    /// with `ThemisError::Ingest`, and the world is untouched: the same
+    /// generation, the same sample, no batch counted.
+    #[test]
+    fn random_bad_ingest_batches_are_rejected_atomically(
+        rows in prop::collection::vec(prop::collection::vec(INGEST_LABELS, 0..5), 0..6),
+        bad in prop::collection::vec(INGEST_LABELS, 0..5),
+        unknown in "(ZZ|fl|NY |0|)",
+        column in 0usize..3,
+        at in 0usize..6,
+    ) {
+        // A 3-cell row gets a label of no column in one cell; any other
+        // length is an arity error already.
+        let mut bad = bad;
+        if bad.len() == 3 {
+            bad[column] = unknown;
+        }
+        let mut batch = rows;
+        batch.insert(at.min(batch.len()), bad);
+        let session = paper_session();
+        let state = |s: &themis_core::ThemisSession| {
+            (s.generation(), s.model().reweighted_sample().len(), s.live_snapshot().ingest_batches)
+        };
+        let before = state(&session);
+        let result = session.ingest("flights", &batch);
+        prop_assert!(
+            matches!(result, Err(themis_core::ThemisError::Ingest(_))),
+            "{:?}: {:?}",
+            &batch,
+            &result
+        );
+        prop_assert_eq!(state(&session), before);
+    }
 }

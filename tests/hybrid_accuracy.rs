@@ -5,7 +5,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use themis_aggregates::{AggregateResult, AggregateSet};
 use themis_bn::LearnMode;
-use themis_core::{percent_difference, Themis, ThemisConfig};
+use themis_core::{percent_difference, Themis, ThemisConfig, ThemisSession};
 use themis_data::datasets::imdb::{ImdbConfig, ImdbDataset};
 
 fn setup() -> (ImdbDataset, AggregateSet) {
@@ -111,7 +111,7 @@ fn group_by_recovers_missing_groups() {
     let scrape = dataset.sample_r159(&mut rng);
     let a = ImdbDataset::attrs();
 
-    let themis = Themis::build(
+    let themis = ThemisSession::new(Themis::build(
         scrape.clone(),
         aggregates,
         n,
@@ -119,11 +119,15 @@ fn group_by_recovers_missing_groups() {
             bn_sample_size: Some(20_000),
             ..ThemisConfig::default()
         },
-    );
+    ));
     let sample_groups = scrape.group_counts(&[a.rg]);
     assert!(sample_groups.len() <= 3, "scrape holds at most ratings 1/5/9");
     let existing = dataset.population.group_counts(&[a.rg]).len();
-    let hybrid_groups = themis.group_by(&[a.rg]);
+    let hybrid_groups = themis
+        .sql("SELECT rating, COUNT(*) FROM imdb GROUP BY rating")
+        .expect("hybrid GROUP BY")
+        .result
+        .rows;
     assert!(
         hybrid_groups.len() >= existing - 1,
         "hybrid should recover most of the {existing} existing ratings, got {}",
