@@ -39,7 +39,7 @@ use crate::route::{self, Decision, Explain, Route};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 use themis_aggregates::IncidenceMatrix;
-use themis_data::Relation;
+use themis_data::{storage_bytes, Relation};
 use themis_live::{plan_fingerprint, AnswerCache, Fingerprint, LiveSnapshot, LiveStats};
 use themis_obs::Counter;
 use themis_query::{EngineOptions, ExecError, FaultPlan, QueryResult, QueryTrace, TraceSink};
@@ -449,7 +449,9 @@ impl ThemisSession {
                         let _span = trace.span("simulate");
                         let replicates = world.replicates();
                         let rows: usize = replicates.iter().map(|r| r.len()).sum();
+                        let bytes = storage_bytes(replicates.iter().map(|r| r.as_ref()));
                         trace.add_counts(&[
+                            ("bytes", bytes as u64),
                             ("replicates", replicates.len() as u64),
                             ("rows", rows as u64),
                         ]);
@@ -1003,6 +1005,13 @@ mod tests {
         let rows: usize = s.replicates().iter().map(|r| r.len()).sum();
         assert_eq!(simulate.counter("replicates"), Some(10));
         assert_eq!(simulate.counter("rows"), Some(rows as u64));
+        // One byte per code (the three domains are small) and one weight
+        // column the ten replicates share.
+        let per_replicate = s.replicates()[0].len();
+        assert_eq!(
+            simulate.counter("bytes"),
+            Some((rows * 3 + per_replicate * 8) as u64)
+        );
         assert!(simulate.children.is_empty());
         let hit = s.analyze(sql).unwrap().trace;
         assert_eq!(

@@ -45,14 +45,14 @@ impl IncidenceMatrix {
             // Bucket sample rows by their value vector on this aggregate's
             // attributes.
             let mut buckets: HashMap<GroupKey, Vec<u32>> = HashMap::new();
-            let attrs = agg.attrs();
-            let mut key = vec![0u32; attrs.len()];
-            for r in 0..sample.len() {
-                for (i, a) in attrs.iter().enumerate() {
-                    key[i] = sample.value(r, *a);
+            sample.for_each_key(agg.attrs(), 0..sample.len(), |r, key| {
+                match buckets.get_mut(key) {
+                    Some(rows) => rows.push(r as u32),
+                    None => {
+                        buckets.insert(key.to_vec(), vec![r as u32]);
+                    }
                 }
-                buckets.entry(key.clone()).or_default().push(r as u32);
-            }
+            });
             for (key, target) in agg.groups() {
                 let sample_rows = buckets.remove(key).unwrap_or_default();
                 rows.push(IncidenceRow {
@@ -97,25 +97,20 @@ impl IncidenceMatrix {
         );
         // (aggregate, key) -> row index. Built by scanning rows in order;
         // nothing iterates this map, so no iteration order can leak.
-        let mut index: HashMap<(usize, &GroupKey), usize> = HashMap::new();
+        let mut index: HashMap<(usize, &[u32]), usize> = HashMap::new();
         for (r, row) in self.rows.iter().enumerate() {
             index.insert((row.aggregate, &row.key), r);
         }
         let mut touched: Vec<(usize, u32)> = Vec::new();
         for (agg_idx, agg) in aggregates.iter().enumerate() {
-            let attrs = agg.attrs();
-            let mut key = vec![0u32; attrs.len()];
-            for r in self.n_sample..sample.len() {
-                for (i, a) in attrs.iter().enumerate() {
-                    key[i] = sample.value(r, *a);
-                }
+            sample.for_each_key(agg.attrs(), self.n_sample..sample.len(), |r, key| {
                 // A key absent from the aggregate's groups is a combination
                 // the population never reported; a cold build discards such
                 // rows the same way.
-                if let Some(&row_idx) = index.get(&(agg_idx, &key)) {
+                if let Some(&row_idx) = index.get(&(agg_idx, key)) {
                     touched.push((row_idx, r as u32));
                 }
-            }
+            });
         }
         for (row_idx, sample_row) in touched {
             self.rows[row_idx].sample_rows.push(sample_row);

@@ -45,10 +45,14 @@
 //! replicate after replicate. So the caller's RNG ends in the same state,
 //! and a given seed names the same replicates whatever the kernel. A chunk
 //! of at most `CHUNK_ROWS` (256) rows of uniforms is drawn into a buffer,
-//! then the replicate is filled one column at a time: each node's parent
-//! configuration is a mixed-radix sum over its parents' columns with
-//! precomputed strides, and its value is a count over that configuration's
-//! thresholds. The weights are written once per replicate.
+//! then the chunk is filled one column at a time into a `u32` scratch of
+//! `CHUNK_ROWS` codes per node: each node's parent configuration is a
+//! mixed-radix sum over its parents' scratch codes with precomputed
+//! strides, and its value is a count over that configuration's thresholds.
+//! Each node's codes are then appended to its column, narrowed to the
+//! column's width (one byte for a domain of at most 256 values, see
+//! [`themis_data::Column`]). [`forward_samples`] writes one weight column,
+//! `population / size` in every row, and all K replicates share it.
 //!
 //! There is no thread: the replicates come from one RNG stream whose order
 //! is fixed, and the simulation runs inside the first query on a world,
@@ -56,7 +60,8 @@
 
 use crate::network::BayesianNetwork;
 use rand::Rng;
-use themis_data::Relation;
+use std::sync::Arc;
+use themis_data::{Column, Relation};
 
 /// Rows of uniforms drawn per chunk before the columns are filled. Every
 /// node reads the whole chunk, so it stays small and cache-resident: on the
@@ -71,11 +76,12 @@ const TOP: u64 = 0x3FEF_FFFF_FFFF_FFFF;
 
 /// Draw one forward sample of `size` tuples (weights all 1).
 pub fn forward_sample<R: Rng>(net: &BayesianNetwork, size: usize, rng: &mut R) -> Relation {
-    Sampler::new(net).draw(size, 1.0, rng)
+    Sampler::new(net).draw(size, &Arc::new(vec![1.0; size]), rng)
 }
 
 /// Draw `k` independent forward samples, each uniformly scaled so its total
-/// weight equals `population_size`.
+/// weight equals `population_size`. The `k` replicates share one weight
+/// column (copied on write, see [`Relation`]).
 pub fn forward_samples<R: Rng>(
     net: &BayesianNetwork,
     k: usize,
@@ -84,8 +90,8 @@ pub fn forward_samples<R: Rng>(
     rng: &mut R,
 ) -> Vec<Relation> {
     let sampler = Sampler::new(net);
-    let weight = population_size / size as f64;
-    (0..k).map(|_| sampler.draw(size, weight, rng)).collect()
+    let weights = Arc::new(vec![population_size / size as f64; size]);
+    (0..k).map(|_| sampler.draw(size, &weights, rng)).collect()
 }
 
 /// A network compiled for sampling: its nodes in topological order, each
@@ -139,13 +145,21 @@ impl<'a> Sampler<'a> {
         Sampler { net, nodes }
     }
 
-    /// One replicate of `size` rows, every weight `weight`.
-    fn draw<R: Rng>(&self, size: usize, weight: f64, rng: &mut R) -> Relation {
+    /// One replicate of `size` rows with the row weights `weights`.
+    fn draw<R: Rng>(&self, size: usize, weights: &Arc<Vec<f64>>, rng: &mut R) -> Relation {
+        let schema = self.net.schema();
         let arity = self.nodes.len();
         let chunk = CHUNK_ROWS.min(size);
-        let mut columns: Vec<Vec<u32>> = (0..arity).map(|_| Vec::with_capacity(size)).collect();
+        let mut columns: Vec<Column> = schema
+            .attributes()
+            .iter()
+            .map(|a| Column::for_domain(a.domain().size(), size))
+            .collect();
         let mut uniforms = vec![0.0f64; chunk * arity];
         let mut configs = vec![0usize; chunk];
+        // The chunk's codes, `chunk` per schema column: parents are read
+        // from here, not from the narrowed columns.
+        let mut codes = vec![0u32; chunk * arity];
         for start in (0..size).step_by(CHUNK_ROWS) {
             let rows = chunk.min(size - start);
             let uniforms = &mut uniforms[..rows * arity];
@@ -156,23 +170,24 @@ impl<'a> Sampler<'a> {
             for (pos, node) in self.nodes.iter().enumerate() {
                 configs.fill(0);
                 for &(parent, stride) in &node.parents {
-                    let values = &columns[parent][start..start + rows];
+                    let values = &codes[parent * chunk..][..rows];
                     for (config, &v) in configs.iter_mut().zip(values) {
                         *config += v as usize * stride;
                     }
                 }
                 let width = node.width;
-                let column = &mut columns[node.column];
-                column.extend(configs.iter().enumerate().map(|(row, &config)| {
+                let out = &mut codes[node.column * chunk..][..rows];
+                for (row, (code, &config)) in out.iter_mut().zip(configs.iter()).enumerate() {
                     let base = config * width;
-                    pick(
+                    *code = pick(
                         &node.thresholds[base..base + width],
                         uniforms[row * arity + pos],
-                    )
-                }));
+                    );
+                }
+                columns[node.column].extend_from_codes(out);
             }
         }
-        Relation::from_columns(self.net.schema().clone(), columns, vec![weight; size])
+        Relation::from_columns(schema.clone(), columns, Arc::clone(weights))
     }
 }
 

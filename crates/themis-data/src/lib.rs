@@ -10,7 +10,8 @@
 //! * [`Domain`] / [`Schema`] — discrete ordered active domains and relation
 //!   schemas,
 //! * [`Relation`] — a weighted columnar relation (every tuple carries a
-//!   weight `w(t)`, the number of population tuples it represents),
+//!   weight `w(t)`, the number of population tuples it represents), its
+//!   codes stored one byte each where the domain fits ([`Column`]),
 //! * [`bucketize`] — equi-width bucketization of real-valued attributes,
 //! * [`sampling`] — biased sampling mechanisms reproducing the paper's
 //!   sample designs (uniform, 90%-biased, 100%-biased selections),
@@ -30,5 +31,5 @@ pub mod sampling;
 pub mod schema;
 
 pub use domain::Domain;
-pub use relation::{GroupKey, Relation};
+pub use relation::{storage_bytes, Code, Column, GroupKey, Relation};
 pub use schema::{AttrId, Attribute, Schema};

@@ -88,8 +88,8 @@ pub fn encode_rows(base: &Relation, rows: &[Vec<String>]) -> Result<Vec<Vec<u32>
 /// against the schema). Existing row order is preserved exactly — the
 /// incremental-marginal path depends on appended rows having strictly
 /// larger indices than every existing row. Weights on the result are
-/// uniform 1.0 placeholders; the caller recomputes and
-/// [`Relation::set_weights`]s them.
+/// placeholders (the base's own for its rows, 1.0 for the new ones); the
+/// caller recomputes and [`Relation::set_weights`]s them.
 pub fn grow_relation(base: &Relation, rows: &[Vec<String>]) -> Result<Relation, IngestError> {
     let encoded = encode_rows(base, rows)?;
     let indices: Vec<usize> = (0..base.len()).collect();

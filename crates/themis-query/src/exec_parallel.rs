@@ -27,6 +27,10 @@
 //!    fold gives their accumulators the very additions it gives the group
 //!    weight, so they report the weight (`output_value`).
 //!
+//! Each loop matches its column's width ([`themis_data::Column`]: one byte
+//! per code where the domain fits, four otherwise) once per stride and
+//! runs a body generic over the code type.
+//!
 //! Reordering the loops this way cannot change a bit of any answer: each
 //! accumulator cell still receives exactly the additions the per-row fold
 //! (`fold_row`) would give it, in row order, with the same operands, and
@@ -80,7 +84,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
-use themis_data::{AttrId, Relation};
+use themis_data::{AttrId, Code, Column, Relation};
 use themis_obs::TraceSink;
 use themis_sql::Query;
 
@@ -571,11 +575,11 @@ enum AggInput<'a> {
     /// COUNT(*) / SUM(weight): adds the row weight.
     Weight,
     /// SUM / AVG: adds the row weight times the value's numeric key.
-    Sum { col: &'a [u32], keys: &'a [f64] },
+    Sum { col: &'a Column, keys: &'a [f64] },
     /// MIN (`max: false`) or MAX over the numeric keys of positive-weight
     /// rows.
     Extreme {
-        col: &'a [u32],
+        col: &'a Column,
         keys: &'a [f64],
         max: bool,
     },
@@ -585,8 +589,8 @@ enum AggInput<'a> {
 struct ScanKernel<'a> {
     spec: &'a GroupSpec,
     weights: &'a [f64],
-    masks: Vec<(&'a [u32], &'a [bool])>,
-    group_cols: Vec<&'a [u32]>,
+    masks: Vec<(&'a Column, &'a [bool])>,
+    group_cols: Vec<&'a Column>,
     aggs: Vec<AggInput<'a>>,
 }
 
@@ -608,8 +612,8 @@ struct LoopScratch {
     slots: Vec<usize>,
     /// Each selected row's slot `seen` flag before the row (MIN/MAX only).
     seen_before: Vec<bool>,
-    /// Sparse-layout key being looked up.
-    key: Vec<u32>,
+    /// Sparse layout: the selected rows' keys, row-major.
+    keys: Vec<u32>,
 }
 
 impl<'a> ScanKernel<'a> {
@@ -676,21 +680,13 @@ impl<'a> ScanKernel<'a> {
         }
         let mut n = range.len();
         for (i, (col, mask)) in self.masks.iter().enumerate() {
-            let col = &col[range.clone()];
-            let mut kept = 0;
-            if i == 0 {
-                for (offset, &v) in col.iter().enumerate() {
-                    sel[kept] = offset as u32;
-                    kept += usize::from(mask[v as usize]);
-                }
-            } else {
-                for j in 0..n {
-                    let offset = sel[j];
-                    sel[kept] = offset;
-                    kept += usize::from(mask[col[offset as usize] as usize]);
-                }
-            }
-            n = kept;
+            let sel = &mut sel[..n];
+            n = match col {
+                Column::U8(c) if i == 0 => select_first(&c[range.clone()], mask, sel),
+                Column::U32(c) if i == 0 => select_first(&c[range.clone()], mask, sel),
+                Column::U8(c) => select_more(&c[range.clone()], mask, sel),
+                Column::U32(c) => select_more(&c[range.clone()], mask, sel),
+            };
         }
         n
     }
@@ -718,26 +714,21 @@ impl<'a> ScanKernel<'a> {
             }
         }
         for (a, agg) in self.aggs.iter().enumerate() {
-            let selected = slots.iter().zip(rows.clone());
+            let selected = slots.iter().copied().zip(rows.clone());
+            let cell = |slot: usize| slot * n + a;
+            let sums = &mut block.sums;
             match *agg {
                 // COUNT(*) and SUM(weight) report the group weight.
                 AggInput::Weight => {}
-                AggInput::Sum { col, keys } => {
-                    for (&slot, r) in selected {
-                        block.sums[slot * n + a] += w[r] * keys[col[r] as usize];
-                    }
-                }
+                AggInput::Sum { col, keys } => match col {
+                    Column::U8(c) => add_sums(sums, cell, selected, w, c, keys),
+                    Column::U32(c) => add_sums(sums, cell, selected, w, c, keys),
+                },
                 AggInput::Extreme { col, keys, max } => {
-                    for ((&slot, r), &seen) in selected.zip(seen_before.iter()) {
-                        if w[r] > 0.0 {
-                            let key = keys[col[r] as usize];
-                            let cell = &mut block.sums[slot * n + a];
-                            *cell = match (seen, max) {
-                                (false, _) => key,
-                                (true, false) => cell.min(key),
-                                (true, true) => cell.max(key),
-                            };
-                        }
+                    let selected = selected.zip(seen_before.iter().copied());
+                    match col {
+                        Column::U8(c) => fold_extremes(sums, cell, selected, w, c, keys, max),
+                        Column::U32(c) => fold_extremes(sums, cell, selected, w, c, keys, max),
                     }
                 }
             }
@@ -758,24 +749,138 @@ impl<'a> ScanKernel<'a> {
                     // Group-free: every row folds into the one scalar slot.
                     None => s.slots.extend(rows.map(|_| 0)),
                     Some((col, &stride)) => {
-                        s.slots
-                            .extend(rows.clone().map(|r| col[r] as usize * stride));
+                        match col {
+                            Column::U8(c) => first_slots(&mut s.slots, rows.clone(), c, stride),
+                            Column::U32(c) => first_slots(&mut s.slots, rows.clone(), c, stride),
+                        }
                         for (col, &stride) in cols {
-                            for (slot, r) in s.slots.iter_mut().zip(rows.clone()) {
-                                *slot += col[r] as usize * stride;
+                            match col {
+                                Column::U8(c) => add_slots(&mut s.slots, rows.clone(), c, stride),
+                                Column::U32(c) => add_slots(&mut s.slots, rows.clone(), c, stride),
                             }
                         }
                     }
                 }
             }
             KeyCodec::Sparse => {
+                // Widen the stride's keys a column at a time, then look
+                // them up in row order.
+                let arity = self.group_cols.len();
+                s.keys.clear();
+                s.keys.resize(rows.clone().count() * arity, 0);
+                for (i, col) in self.group_cols.iter().enumerate() {
+                    match col {
+                        Column::U8(c) => widen_keys(&mut s.keys, rows.clone(), c, i, arity),
+                        Column::U32(c) => widen_keys(&mut s.keys, rows.clone(), c, i, arity),
+                    }
+                }
                 let n = self.spec.n_aggs();
-                for r in rows {
-                    s.key.clear();
-                    s.key.extend(self.group_cols.iter().map(|col| col[r]));
-                    s.slots.push(block.sparse_slot(&s.key, n));
+                for key in s.keys.chunks_exact(arity) {
+                    s.slots.push(block.sparse_slot(key, n));
                 }
             }
+        }
+    }
+}
+
+// The scan kernel's loops, generic over the code type: each is entered once
+// per column per stride, by a match on the column's width.
+
+/// The first mask's pass of [`ScanKernel::select`]: every offset of the
+/// stride's `codes` is written, and the cursor advances by its mask bit.
+fn select_first<C: Code>(codes: &[C], mask: &[bool], sel: &mut [u32]) -> usize {
+    let mut kept = 0;
+    for (offset, &v) in codes.iter().enumerate() {
+        sel[kept] = offset as u32;
+        kept += usize::from(mask[v.index()]);
+    }
+    kept
+}
+
+/// A later mask's pass of [`ScanKernel::select`]: the offsets of `sel` whose
+/// code passes, kept in order at its front.
+fn select_more<C: Code>(codes: &[C], mask: &[bool], sel: &mut [u32]) -> usize {
+    let mut kept = 0;
+    for j in 0..sel.len() {
+        let offset = sel[j];
+        sel[kept] = offset;
+        kept += usize::from(mask[codes[offset as usize].index()]);
+    }
+    kept
+}
+
+/// The dense slots of the first grouping column: `code · stride` per row.
+fn first_slots<C: Code>(
+    slots: &mut Vec<usize>,
+    rows: impl Iterator<Item = usize>,
+    codes: &[C],
+    stride: usize,
+) {
+    slots.extend(rows.map(|r| codes[r].index() * stride));
+}
+
+/// Add a later grouping column's `code · stride` to each row's dense slot.
+fn add_slots<C: Code>(
+    slots: &mut [usize],
+    rows: impl Iterator<Item = usize>,
+    codes: &[C],
+    stride: usize,
+) {
+    for (slot, r) in slots.iter_mut().zip(rows) {
+        *slot += codes[r].index() * stride;
+    }
+}
+
+/// Write grouping column `i`'s code of each row into its `arity`-wide
+/// sparse key.
+fn widen_keys<C: Code>(
+    keys: &mut [u32],
+    rows: impl Iterator<Item = usize>,
+    codes: &[C],
+    i: usize,
+    arity: usize,
+) {
+    for (key, r) in keys.chunks_exact_mut(arity).zip(rows) {
+        key[i] = codes[r].id();
+    }
+}
+
+/// SUM / AVG: add each selected `(slot, row)`'s weight times its value's
+/// numeric key to the aggregate's cell of the slot, `sums[cell(slot)]`.
+fn add_sums<C: Code>(
+    sums: &mut [f64],
+    cell: impl Fn(usize) -> usize,
+    selected: impl Iterator<Item = (usize, usize)>,
+    w: &[f64],
+    codes: &[C],
+    keys: &[f64],
+) {
+    for (slot, r) in selected {
+        sums[cell(slot)] += w[r] * keys[codes[r].index()];
+    }
+}
+
+/// MIN / MAX over the numeric keys of the selected positive-weight rows,
+/// into the aggregate's cell of each slot, `sums[cell(slot)]`; `seen` is
+/// the row's slot flag as it stood before the row.
+fn fold_extremes<C: Code>(
+    sums: &mut [f64],
+    cell: impl Fn(usize) -> usize,
+    selected: impl Iterator<Item = ((usize, usize), bool)>,
+    w: &[f64],
+    codes: &[C],
+    keys: &[f64],
+    max: bool,
+) {
+    for ((slot, r), seen) in selected {
+        if w[r] > 0.0 {
+            let key = keys[codes[r].index()];
+            let cell = &mut sums[cell(slot)];
+            *cell = match (seen, max) {
+                (false, _) => key,
+                (true, false) => cell.min(key),
+                (true, true) => cell.max(key),
+            };
         }
     }
 }
@@ -1266,14 +1371,16 @@ mod tests {
 
     /// A random relation: `a` (6 values), `b` (numeric labels, a negative
     /// zero and a non-numeric one), `c` (5000 values, so grouping by it
-    /// takes the sparse layout), with weights drawn from non-dyadic values
-    /// and zeros.
+    /// takes the sparse layout), `d` (300 values: stored four bytes a code
+    /// but grouped densely), with weights drawn from non-dyadic values and
+    /// zeros.
     fn random_relation(seed: u64, rows: usize) -> Relation {
         let b_labels = ["-2.5", "0.1", "1", "3.75", "10", "-0", "x"];
         let schema = Schema::new(vec![
             Attribute::new("a", Domain::indexed("a", 6)),
             Attribute::new("b", Domain::of("b", &b_labels)),
             Attribute::new("c", Domain::indexed("c", 5000)),
+            Attribute::new("d", Domain::indexed("d", 300)),
         ]);
         let weights = [1.0 / 3.0, 0.1, 0.0, 2.0, 7.0 / 3.0];
         let mut state = seed;
@@ -1291,7 +1398,8 @@ mod tests {
             let b = next(b_labels.len() as u64) as u32;
             let c = (4990 + next(10)) as u32 * u32::from(next(4) != 0);
             let w = weights[next(weights.len() as u64) as usize];
-            rel.push_row_weighted(&[a, b, c], w);
+            let d = next(300) as u32;
+            rel.push_row_weighted(&[a, b, c, d], w);
         }
         rel
     }
@@ -1299,6 +1407,7 @@ mod tests {
     #[test]
     fn scan_kernel_is_bit_identical_to_the_per_row_fold() {
         let aggs = "COUNT(*), SUM(weight), SUM(b), AVG(b), MIN(b), MAX(b)";
+        let wide = "SUM(c), AVG(d), MIN(c), MAX(d)";
         let queries = [
             format!("SELECT {aggs} FROM t"),
             format!("SELECT a, {aggs} FROM t GROUP BY a"),
@@ -1308,11 +1417,24 @@ mod tests {
             format!("SELECT c, {aggs} FROM t GROUP BY c"),
             format!("SELECT a, c, {aggs} FROM t WHERE b > 0 GROUP BY a, c"),
             format!("SELECT {aggs} FROM t WHERE a = '9'"),
+            format!("SELECT d, {wide} FROM t WHERE c >= 4995 GROUP BY d"),
+            format!("SELECT a, d, {wide} FROM t WHERE b <> 'x' AND d < 150 GROUP BY a, d"),
+            format!("SELECT {wide}, {aggs} FROM t WHERE d > 20 AND c <> '0' AND a <> '3'"),
         ];
         let morsel_sizes: Vec<usize> = (1..=64).chain([2048]).collect();
         for seed in [1u64, 7, 2024] {
+            let rel = random_relation(seed, 300);
+            // `a` and `b` take the kernel's one-byte arm, the 5,000-value
+            // `c` and 300-value `d` its four-byte arm, in masks, dense and
+            // sparse slots and aggregates alike.
+            let schema = rel.schema().clone();
+            let column = |name: &str| rel.column(schema.attr_id(name).unwrap());
+            assert!(matches!(column("a"), Column::U8(_)));
+            assert!(matches!(column("b"), Column::U8(_)));
+            assert!(matches!(column("c"), Column::U32(_)));
+            assert!(matches!(column("d"), Column::U32(_)));
             let mut c = Catalog::new();
-            c.register("t", random_relation(seed, 300));
+            c.register("t", rel);
             for sql in &queries {
                 let query = themis_sql::parse(sql).unwrap();
                 for &morsel_rows in &morsel_sizes {

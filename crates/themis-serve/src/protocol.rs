@@ -79,9 +79,15 @@ pub enum Request {
     Metrics,
 }
 
+/// Largest `threads` a `set` request may ask for. Each scan or probe starts
+/// up to that many workers and a join allocates that many partition
+/// buckets per build morsel, so a larger value is rejected as malformed
+/// and leaves the connection's engine untouched.
+pub const MAX_SET_THREADS: u64 = 256;
+
 /// Fields of a `set` request. Each option is three-state: absent (leave as
 /// is), `null` (clear), or a value (set). `threads`/`morsel_rows` cannot be
-/// cleared, only set.
+/// cleared, only set; `threads` is at most [`MAX_SET_THREADS`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SetRequest {
     /// Per-query wall-clock deadline in milliseconds.
@@ -90,7 +96,7 @@ pub struct SetRequest {
     pub max_rows: Option<Option<u64>>,
     /// Group budget ([`themis_core::Limits::max_groups`]).
     pub max_groups: Option<Option<u64>>,
-    /// Engine worker threads per query.
+    /// Engine worker threads per query, 1 to [`MAX_SET_THREADS`].
     pub threads: Option<u64>,
     /// Rows per morsel.
     pub morsel_rows: Option<u64>,
@@ -206,17 +212,21 @@ fn parse_set(j: &Json) -> Result<SetRequest, String> {
         morsel_rows: None,
         fault: None,
     };
-    for (key, slot) in [
-        ("threads", &mut set.threads),
-        ("morsel_rows", &mut set.morsel_rows),
-    ] {
-        if let Some(v) = j.get(key) {
-            *slot = Some(
-                v.as_u64()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("\"{key}\" must be a positive integer"))?,
-            );
-        }
+    if let Some(v) = j.get("threads") {
+        set.threads = Some(
+            v.as_u64()
+                .filter(|n| (1..=MAX_SET_THREADS).contains(n))
+                .ok_or_else(|| {
+                    format!("\"threads\" must be an integer from 1 to {MAX_SET_THREADS}")
+                })?,
+        );
+    }
+    if let Some(v) = j.get("morsel_rows") {
+        set.morsel_rows = Some(
+            v.as_u64()
+                .filter(|&n| n >= 1)
+                .ok_or_else(|| "\"morsel_rows\" must be a positive integer".to_string())?,
+        );
     }
     if let Some(f) = j.get("fault") {
         set.fault = Some(parse_fault(f)?);
@@ -1073,6 +1083,24 @@ mod tests {
             panic!("not a set request");
         };
         assert_eq!(set.fault, Some(FaultPlan::None));
+    }
+
+    #[test]
+    fn set_threads_stop_at_the_ceiling() {
+        let parse = |threads: u64| {
+            parse_request(&Json::parse(&format!(r#"{{"op":"set","threads":{threads}}}"#)).unwrap())
+        };
+        let Ok(Request::Set(set)) = parse(MAX_SET_THREADS) else {
+            panic!("the ceiling itself is a valid thread count");
+        };
+        // Applying only records the count; no worker starts here.
+        let mut engine = EngineOptions::with_threads(1);
+        set.apply(&mut engine, false);
+        assert_eq!(engine.threads, MAX_SET_THREADS as usize);
+        for over in [MAX_SET_THREADS + 1, 1 << 40] {
+            let message = parse(over).unwrap_err();
+            assert_eq!(message, "\"threads\" must be an integer from 1 to 256");
+        }
     }
 
     #[test]

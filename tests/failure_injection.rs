@@ -724,7 +724,8 @@ proptest! {
 
     /// Request dispatch never panics on a parsed value: anything that is
     /// not an object with a string `op` is an `Err`, and whatever parses as
-    /// a `set` applies to engine options without panicking either.
+    /// a `set` applies to engine options without panicking either, and
+    /// never leaves them above the wire's thread ceiling.
     #[test]
     fn request_parsing_never_panics(
         seed in any::<u64>(),
@@ -732,7 +733,7 @@ proptest! {
         with_op in any::<bool>(),
     ) {
         use rand::{Rng, SeedableRng};
-        use themis_serve::protocol::{parse_request, Request};
+        use themis_serve::protocol::{parse_request, Request, MAX_SET_THREADS};
         use themis_serve::Json;
         let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
         let value = if with_op {
@@ -745,6 +746,11 @@ proptest! {
                     // so the checks past a member's type run too.
                     let member = match key {
                         "table" | "sql" if rng.gen() => Json::Str(op.to_string()),
+                        // Thread counts around the ceiling, and far past it.
+                        "threads" if rng.gen() => {
+                            let near = [1.0, 255.0, 256.0, 257.0, 1_099_511_627_776.0];
+                            Json::Num(near[rng.gen_range(0..near.len())])
+                        }
                         "rows" if rng.gen() => Json::Arr(vec![
                             Json::Arr(vec![Json::Str("01".into()), random_json(&mut rng, 0)]),
                             random_json(&mut rng, 1),
@@ -760,7 +766,11 @@ proptest! {
         };
         let has_op = value.get("op").and_then(Json::as_str).is_some();
         match parse_request(&value) {
-            Ok(Request::Set(set)) => set.apply(&mut EngineOptions::with_threads(1), true),
+            Ok(Request::Set(set)) => {
+                let mut engine = EngineOptions::with_threads(1);
+                set.apply(&mut engine, true);
+                prop_assert!(engine.threads <= MAX_SET_THREADS as usize, "{}", value);
+            }
             Ok(_) => {}
             Err(message) => prop_assert!(!message.is_empty()),
         }

@@ -7,10 +7,13 @@
 //! The oracle below is a test-local copy of that algorithm: per row, per
 //! node in topological order, gather the parent values, look up the CPT
 //! row, draw one uniform and subtract cells until the remainder is `≤ 0`.
-//! It runs against random networks (0–3 parents, cardinalities 1–40, CPTs
-//! with zero cells, K = 1 and 3) and against the flights worlds the
-//! repository benchmark builds (Corners sample, four t-cherry 2-D
-//! aggregates, 20,000-row replicates, K = 10) on seeds 1 and 20261017.
+//! It runs against random networks (0–3 parents, cardinalities 1–40 or,
+//! for about one node in four, 257–300, whose codes are stored four bytes
+//! each; CPTs with zero cells; K = 1 and 3) and against the flights worlds
+//! the repository benchmark builds (Corners sample, four t-cherry 2-D
+//! aggregates, 20,000-row replicates, K = 10) on seeds 1 and 20261017,
+//! where it also pins the replicates' storage: one byte per code and one
+//! weight column shared by all K.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -21,7 +24,7 @@ use themis_bn::sampling::forward_samples;
 use themis_bn::{BayesianNetwork, Cpt};
 use themis_core::{Themis, ThemisConfig};
 use themis_data::datasets::flights::{FlightsConfig, FlightsDataset};
-use themis_data::{AttrId, Attribute, Domain, Relation, Schema};
+use themis_data::{storage_bytes, AttrId, Attribute, Domain, Relation, Schema};
 
 /// The subtract scan: the first cell at which `u` minus the running cells
 /// reaches `≤ 0`, else the last cell.
@@ -67,14 +70,14 @@ fn oracle_samples(
 
 /// Draw `k` replicates with the kernel and with the oracle from the same
 /// seed; fail unless columns, weights and the next draw of each RNG agree
-/// bit for bit.
+/// bit for bit. Returns the kernel's replicates.
 fn check_bit_identical(
     net: &BayesianNetwork,
     k: usize,
     size: usize,
     population_size: f64,
     seed: u64,
-) -> Result<(), String> {
+) -> Result<Vec<Relation>, String> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut oracle_rng = SmallRng::seed_from_u64(seed);
     let got = forward_samples(net, k, size, population_size, &mut rng);
@@ -119,21 +122,31 @@ fn check_bit_identical(
             "RNG left in another state: next draw {next} vs {oracle_next}"
         ));
     }
-    Ok(())
+    Ok(got)
 }
 
 /// Largest CPT the random networks build, in cells: keeps a 3-parent node
-/// of cardinality-40 parents from costing the debug-build suite seconds.
+/// of cardinality-40 parents, or a 300-value node with a wide parent, from
+/// costing the debug-build suite seconds.
 const MAX_CELLS: usize = 4_096;
 
-/// A random network drawn from `seed`: 1–5 nodes of cardinality 1–40, each
+/// A random network drawn from `seed`: 1–5 nodes of cardinality 1–40 or,
+/// one in four, 257–300 (past the one-byte columns' 256 values), each
 /// with up to 3 parents among the nodes before it in a random order (so
 /// the topological order is not the schema order), and CPT rows with
 /// about a third of their cells zero (an all-zero row stays all zero).
 fn random_network(seed: u64) -> BayesianNetwork {
     let mut rng = SmallRng::seed_from_u64(seed);
     let n = rng.gen_range(1..6usize);
-    let cards: Vec<usize> = (0..n).map(|_| rng.gen_range(1..41usize)).collect();
+    let cards: Vec<usize> = (0..n)
+        .map(|_| {
+            if rng.gen_bool(0.25) {
+                rng.gen_range(257..301usize)
+            } else {
+                rng.gen_range(1..41usize)
+            }
+        })
+        .collect();
     let schema = Schema::new(
         cards
             .iter()
@@ -245,14 +258,27 @@ fn benchmark_worlds_match_the_row_at_a_time_scan() {
         let config = model.config();
         assert_eq!(config.k_samples, 10);
         let size = config.bn_sample_size.unwrap();
-        if let Err(e) = check_bit_identical(
+        let replicates = check_bit_identical(
             net,
             config.k_samples,
             size,
             model.population_size(),
             config.seed,
-        ) {
-            panic!("benchmark world, seed {seed}: {e}");
-        }
+        )
+        .unwrap_or_else(|e| panic!("benchmark world, seed {seed}: {e}"));
+        // Every flights domain fits one byte per code, and the K
+        // replicates share one weight column: 10 × 20,000 × 5 bytes of
+        // codes plus 20,000 × 8 bytes of weights. Four-byte codes and a
+        // weight column each would hold 5.6 MB.
+        let weights = replicates[0].weights().as_ptr();
+        assert!(
+            replicates.iter().all(|r| r.weights().as_ptr() == weights),
+            "seed {seed}: the replicates hold more than one weight column"
+        );
+        let bytes = storage_bytes(&replicates);
+        assert!(
+            bytes <= 1_250_000,
+            "seed {seed}: the replicates hold {bytes} bytes"
+        );
     }
 }
