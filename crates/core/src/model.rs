@@ -7,11 +7,12 @@
 use crate::error::ThemisError;
 use crate::route::{self, RouteKind};
 use std::sync::Arc;
-use themis_aggregates::AggregateSet;
+use themis_aggregates::{AggregateSet, IncidenceMatrix};
 use themis_bn::{learn, point_probability, BayesianNetwork, LearnMode, LearnOptions};
 use themis_data::{AttrId, Relation};
 use themis_reweight::{
-    ipf_weights, linreg_weights, uniform_weights, IpfOptions, IpfReport, LinRegOptions,
+    ipf_on_incidence, ipf_weights, linreg_weights, uniform_weights, IpfOptions, IpfReport,
+    LinRegOptions,
 };
 
 /// Which sample-reweighting technique the model uses (§4.1).
@@ -68,16 +69,63 @@ pub struct Themis {
     bn: Option<BayesianNetwork>,
     config: ThemisConfig,
     ipf_report: Option<IpfReport>,
+    /// The IPF incidence matrix over `sample`, carried only by models that
+    /// [`Themis::grown`] made, so that the next ingest extends it instead
+    /// of rebuilding it. A cold-built model carries none.
+    incidence: Option<IncidenceMatrix>,
 }
 
 impl Themis {
     /// Build the model: learn tuple weights from `Γ` and (optionally) the
     /// population Bayesian network.
     pub fn build(
+        sample: Relation,
+        aggregates: AggregateSet,
+        population_size: f64,
+        config: ThemisConfig,
+    ) -> Self {
+        Self::fit(sample, aggregates, population_size, config, None)
+    }
+
+    /// This model grown by `rows` (labels, schema order) and refit — what
+    /// `ThemisSession::ingest` swaps in. The batch is validated whole
+    /// before any row is appended. Under IPF the incidence matrix this
+    /// model carries is extended by the appended rows (built from the
+    /// grown sample on a model's first ingest). Appended rows have
+    /// strictly larger indices, so the extension equals a cold
+    /// [`IncidenceMatrix::build`], and the result is bit-identical to
+    /// [`Themis::build`] on the grown sample.
+    pub(crate) fn grown(&self, rows: &[Vec<String>]) -> Result<Self, themis_live::IngestError> {
+        let sample = themis_live::grow_relation(&self.sample, rows)?;
+        let incidence = match &self.config.reweighting {
+            ReweightMethod::Ipf(_) => Some(match &self.incidence {
+                Some(matrix) => {
+                    let mut matrix = matrix.clone();
+                    matrix.extend(&sample, &self.aggregates);
+                    matrix
+                }
+                None => IncidenceMatrix::build(&sample, &self.aggregates),
+            }),
+            ReweightMethod::Uniform | ReweightMethod::LinReg(_) => None,
+        };
+        Ok(Self::fit(
+            sample,
+            self.aggregates.clone(),
+            self.population_size,
+            self.config.clone(),
+            incidence,
+        ))
+    }
+
+    /// The one fit behind [`Themis::build`] and [`Themis::grown`]: reweight
+    /// `sample` (§4.1; under IPF over `incidence` when given, which must
+    /// cover `sample`), then learn the BN on the reweighted sample (§4.2).
+    fn fit(
         mut sample: Relation,
         aggregates: AggregateSet,
         population_size: f64,
         config: ThemisConfig,
+        incidence: Option<IncidenceMatrix>,
     ) -> Self {
         let mut ipf_report = None;
         let weights = match &config.reweighting {
@@ -86,7 +134,10 @@ impl Themis {
                 linreg_weights(&sample, &aggregates, population_size, opts).0
             }
             ReweightMethod::Ipf(opts) => {
-                let (w, rep) = ipf_weights(&sample, &aggregates, opts);
+                let (w, rep) = match &incidence {
+                    Some(matrix) => ipf_on_incidence(matrix, sample.len(), opts),
+                    None => ipf_weights(&sample, &aggregates, opts),
+                };
                 ipf_report = Some(rep);
                 w
             }
@@ -104,29 +155,7 @@ impl Themis {
             bn,
             config,
             ipf_report,
-        }
-    }
-
-    /// Assemble a model from already-computed parts — the incremental-ingest
-    /// path (`ThemisSession::ingest`), which recomputes weights and relearns
-    /// the BN itself (reusing the extended incidence matrix) and must not
-    /// pay [`Themis::build`]'s from-scratch reweighting again. `sample` must
-    /// already carry its final weights.
-    pub(crate) fn from_parts(
-        sample: Relation,
-        aggregates: AggregateSet,
-        population_size: f64,
-        bn: Option<BayesianNetwork>,
-        config: ThemisConfig,
-        ipf_report: Option<IpfReport>,
-    ) -> Self {
-        Self {
-            sample: Arc::new(sample),
-            aggregates,
-            population_size,
-            bn,
-            config,
-            ipf_report,
+            incidence,
         }
     }
 

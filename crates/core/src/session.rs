@@ -23,32 +23,33 @@
 //! The model lives behind a generation-counted [`Arc`] swap (a `World`).
 //! Readers pin the current generation with one `Arc` bump and never block;
 //! [`ThemisSession::ingest`] builds a successor world off to the side —
-//! incrementally extending the IPF incidence matrix, relearning the BN, and
-//! re-simulating replicates *only if the BN parameters actually moved* —
-//! then swaps it in. In-flight queries finish on their pinned generation.
+//! the grown sample refit by the model's own fit, the one
+//! [`Themis::build`] runs (under IPF over an incidence matrix extended by
+//! the appended rows), and replicates re-simulated *only if the BN
+//! parameters actually moved* — then swaps it in and flushes the answer
+//! cache. In-flight queries finish on their pinned generation.
 //!
 //! An optional [`AnswerCache`] (off by default; see
 //! [`ThemisSession::with_answer_cache`]) memoizes full answers by canonical
-//! plan fingerprint. Hits hand back the stored result bit-identical to the
-//! populating execution. Traced, fault-injected, and cancellable queries
-//! bypass the cache entirely, and degraded answers never populate it.
+//! plan fingerprint and morsel size, evicting the least recently used.
+//! Hits hand back the stored result bit-identical to the populating
+//! execution. Traced, fault-injected, and cancellable queries bypass the
+//! cache entirely, and degraded answers never populate it.
 
 use crate::error::ThemisError;
-use crate::model::{ReweightMethod, Themis};
+use crate::model::Themis;
 use crate::route::{self, Decision, Explain, Route};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
-use themis_aggregates::IncidenceMatrix;
 use themis_data::{storage_bytes, Relation};
 use themis_live::{plan_fingerprint, AnswerCache, Fingerprint, LiveSnapshot, LiveStats};
 use themis_obs::Counter;
 use themis_query::{EngineOptions, ExecError, FaultPlan, QueryResult, QueryTrace, TraceSink};
-use themis_reweight::{ipf_on_incidence, linreg_weights, uniform_weights};
 use themis_sql::{Query, SelectItem};
 
 /// A query result with its provenance: which debiasing component answered
 /// ([`Route`]) and how long the query took.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Answer {
     /// The result rows.
     pub result: QueryResult,
@@ -91,8 +92,8 @@ pub struct Analyzed {
 /// What an ingest did — returned by [`ThemisSession::ingest`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IngestReport {
-    /// The table name the batch was addressed to (the cache-invalidation
-    /// tag; the session serves its one relation under any `FROM` name).
+    /// The table name the batch was addressed to, echoed back (the session
+    /// serves its one relation under any `FROM` name).
     pub table: String,
     /// Rows appended by this batch.
     pub rows_added: usize,
@@ -106,7 +107,8 @@ pub struct IngestReport {
     /// Replicates carried over unchanged into the new generation (0 when
     /// the BN moved, or when none had been simulated yet).
     pub replicates_kept: usize,
-    /// Cache entries eagerly dropped because their plan touches `table`.
+    /// Answer-cache entries the ingest flushed: every entry resident when
+    /// the new generation swapped in (0 with the cache off).
     pub cache_entries_dropped: usize,
 }
 
@@ -125,10 +127,6 @@ struct World {
     /// live counter to bump when the lazy re-simulation actually runs, so
     /// obs can assert "an ingest that moved nothing re-simulated nothing".
     resim_counter: Option<Arc<Counter>>,
-    /// The IPF incidence matrix covering this generation's sample, carried
-    /// by ingest-created worlds so the *next* ingest extends it instead of
-    /// rebuilding from scratch.
-    incidence: Option<IncidenceMatrix>,
 }
 
 impl World {
@@ -173,7 +171,6 @@ impl ThemisSession {
                 generation: 0,
                 replicates: OnceLock::new(),
                 resim_counter: None,
-                incidence: None,
             })),
             engine,
             cache: None,
@@ -189,7 +186,7 @@ impl ThemisSession {
     }
 
     /// Enable (or resize — existing contents are dropped) the answer
-    /// cache, bounded at roughly `entries` answers.
+    /// cache, bounded at `entries` answers (at least one).
     pub fn set_answer_cache(&mut self, entries: usize) {
         self.cache = Some(AnswerCache::new(entries));
         self.live.cache_entries.set(0);
@@ -289,7 +286,9 @@ impl ThemisSession {
 
     /// The one cache-probe decision: `None` when the cache is off or the
     /// engine options force a bypass, otherwise the fingerprint both
-    /// execution and explain key on.
+    /// execution and explain key on. It carries `engine.morsel_rows`:
+    /// morsel blocks merge in morsel order, so two morsel sizes can give
+    /// answers that differ in their last bits.
     fn cache_fingerprint(
         &self,
         world: &World,
@@ -300,7 +299,10 @@ impl ThemisSession {
         if Self::cache_bypass(engine).is_some() {
             return None;
         }
-        Some(plan_fingerprint(query, &engine.limits, world.generation))
+        Some(
+            plan_fingerprint(query, &engine.limits, world.generation)
+                .with_morsel_rows(engine.morsel_rows),
+        )
     }
 
     /// Run a SQL query with §4.3 routing: in-sample point queries and plain
@@ -581,31 +583,30 @@ impl ThemisSession {
         })
     }
 
-    /// Append labeled rows to the registered relation, rebuilding the model
-    /// incrementally and swapping in a new world generation. `&self`:
-    /// concurrent readers keep answering on their pinned generation and
-    /// never block.
+    /// Append labeled rows to the registered relation, refit the model, and
+    /// swap in a new world generation. `&self`: concurrent readers keep
+    /// answering on their pinned generation and never block.
     ///
     /// Semantics, in order:
     ///
     /// 1. the whole batch is validated first — a bad row rejects the batch
     ///    and the world is untouched;
-    /// 2. weights are recomputed exactly as [`Themis::build`] would on the
-    ///    grown sample (under IPF the incidence matrix is *extended* by the
-    ///    appended rows, which is provably identical to rebuilding it, so
-    ///    the weights are bit-identical to a cold build);
-    /// 3. the BN is relearned on the reweighted grown sample; replicates
-    ///    are re-simulated (lazily, on next use) **only** when the BN
-    ///    parameters or the effective replicate size moved — otherwise the
-    ///    old replicates are carried over and `live.ingest.replicates_kept`
-    ///    records it;
-    /// 4. the new world swaps in with `generation + 1`, and only answer
-    ///    cache entries whose fingerprint touches `table` are dropped
-    ///    (every other old entry is already unreachable — fingerprints
-    ///    carry the generation — and ages out by LRU).
+    /// 2. the grown sample is refit by the model's own fit, the one
+    ///    [`Themis::build`] runs: reweight (under IPF over the carried
+    ///    incidence matrix, *extended* by the appended rows, which is
+    ///    provably identical to rebuilding it), then relearn the BN on the
+    ///    reweighted sample — so the new model is bit-identical to a cold
+    ///    build on the grown sample;
+    /// 3. replicates are re-simulated (lazily, on next use) **only** when
+    ///    the BN parameters or the effective replicate size moved —
+    ///    otherwise the old replicates are carried over and
+    ///    `live.ingest.replicates_kept` records it;
+    /// 4. the new world swaps in with `generation + 1`, and the whole
+    ///    answer cache is flushed: the session binds its one relation to
+    ///    every `FROM` name, so every entry is stale.
     ///
-    /// `table` is an invalidation tag, not a catalog lookup: the session
-    /// serves its single relation under any `FROM` name.
+    /// `table` is the name the batch was addressed to, echoed in the
+    /// report; it is not a catalog lookup.
     pub fn ingest(&self, table: &str, rows: &[Vec<String>]) -> Result<IngestReport, ThemisError> {
         // One writer at a time; readers never take this lock.
         let _writer = self
@@ -613,51 +614,19 @@ impl ThemisSession {
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
         let old = self.pinned();
-        let config = old.model.config().clone();
-        let population_size = old.model.population_size();
-        let aggregates = old.model.aggregates().clone();
-        let mut grown = themis_live::grow_relation(old.model.reweighted_sample(), rows)?;
-
-        let mut ipf_report = None;
-        let mut incidence = None;
-        let weights = match &config.reweighting {
-            ReweightMethod::Uniform => uniform_weights(&grown, population_size),
-            ReweightMethod::LinReg(opts) => {
-                linreg_weights(&grown, &aggregates, population_size, opts).0
-            }
-            ReweightMethod::Ipf(opts) => {
-                // Incremental marginals: extend the previous incidence
-                // matrix by the appended rows (appended indices are
-                // strictly larger, so the extension reproduces a cold
-                // `IncidenceMatrix::build` exactly) and sweep IPF over it —
-                // the weights come out bit-identical to a cold build on the
-                // grown sample.
-                let mut matrix = match &old.incidence {
-                    Some(m) => m.clone(),
-                    None => IncidenceMatrix::build(old.model.reweighted_sample(), &aggregates),
-                };
-                matrix.extend(&grown, &aggregates);
-                let (w, report) = ipf_on_incidence(&matrix, grown.len(), opts);
-                ipf_report = Some(report);
-                incidence = Some(matrix);
-                w
-            }
-        };
-        grown.set_weights(weights);
-
-        // Relearn the BN with the same step order as `Themis::build`:
-        // weights first, then learn on the reweighted sample.
-        let bn = config.bn_mode.map(|mode| {
-            themis_bn::learn(&grown, &aggregates, population_size, mode, &config.bn_options)
-        });
+        let model = old.model.grown(rows)?;
 
         // Replicates depend on exactly three inputs: the BN parameters, the
         // effective replicate size, and the fixed seed. Re-simulate iff one
         // of the first two moved.
-        let old_len = old.model.reweighted_sample().len();
-        let size_moved = config.bn_sample_size.is_none() && grown.len() != old_len;
+        let sample_rows = model.reweighted_sample().len();
+        let size_moved = model.config().bn_sample_size.is_none()
+            && sample_rows != old.model.reweighted_sample().len();
         let bn_moved = size_moved
-            || themis_live::bn_parameters_moved(old.model.bayesian_network(), bn.as_ref());
+            || themis_live::bn_parameters_moved(
+                old.model.bayesian_network(),
+                model.bayesian_network(),
+            );
 
         let replicates = OnceLock::new();
         let mut resim_counter = None;
@@ -682,34 +651,23 @@ impl ThemisSession {
             }
         }
 
-        let sample_rows = grown.len();
-        let model = Themis::from_parts(
-            grown,
-            aggregates,
-            population_size,
-            bn,
-            config,
-            ipf_report,
-        );
         let generation = old.generation + 1;
         let world = Arc::new(World {
             model: Arc::new(model),
             generation,
             replicates,
             resim_counter,
-            incidence,
         });
         *self
             .world
             .write()
             .unwrap_or_else(|poisoned| poisoned.into_inner()) = world;
 
-        // Selective invalidation: drop only entries whose plan touches the
-        // mutated table. Other old-generation entries can never be served
-        // (the fingerprint carries the generation) and age out by LRU.
+        // Every entry answered the old generation, which no query reads
+        // any more (fingerprints carry the generation): flush them all.
         let cache_entries_dropped = match &self.cache {
             Some(cache) => {
-                let dropped = cache.invalidate_table(table);
+                let dropped = cache.clear();
                 self.live.cache_invalidations.add(dropped as u64);
                 self.live.cache_entries.set(cache.len() as u64);
                 dropped
@@ -743,12 +701,17 @@ mod tests {
     use themis_query::Value;
 
     fn paper_session(config: ThemisConfig) -> ThemisSession {
+        paper_session_on(example_sample(), config)
+    }
+
+    /// A session over `sample` with the paper example's aggregates.
+    fn paper_session_on(sample: Relation, config: ThemisConfig) -> ThemisSession {
         let p = example_population();
         let aggregates = AggregateSet::from_results(vec![
             AggregateResult::compute(&p, &[AttrId(0)]),
             AggregateResult::compute(&p, &[AttrId(1), AttrId(2)]),
         ]);
-        ThemisSession::new(Themis::build(example_sample(), aggregates, 10.0, config))
+        ThemisSession::new(Themis::build(sample, aggregates, 10.0, config))
     }
 
     fn open_world_session() -> ThemisSession {
@@ -1410,6 +1373,65 @@ mod tests {
     }
 
     #[test]
+    fn ingest_matches_a_cold_build_under_every_reweighting_method() {
+        use crate::model::ReweightMethod;
+        let batches = [
+            rows(&[["01", "NY", "FL"], ["02", "FL", "NY"]]),
+            rows(&[["02", "NY", "NC"]]),
+        ];
+        let queries = [
+            "SELECT COUNT(*) FROM flights WHERE o_st = 'FL' AND d_st = 'NY'",
+            "SELECT o_st, d_st, COUNT(*) FROM flights GROUP BY o_st, d_st",
+            "SELECT date, COUNT(*) FROM flights GROUP BY date",
+        ];
+        let bits = |model: &Themis| -> Vec<u64> {
+            let weights = model.reweighted_sample().weights();
+            weights.iter().map(|w| w.to_bits()).collect()
+        };
+        for reweighting in [
+            ReweightMethod::Uniform,
+            ReweightMethod::LinReg(Default::default()),
+            ReweightMethod::Ipf(Default::default()),
+        ] {
+            let config = ThemisConfig {
+                reweighting,
+                bn_sample_size: Some(4_000),
+                ..ThemisConfig::default()
+            };
+            let live = paper_session(config.clone()).with_answer_cache(32);
+            let mut grown = example_sample();
+            // Under IPF the second batch extends the incidence matrix the
+            // first ingest left on the grown model.
+            for batch in &batches {
+                for sql in &queries {
+                    live.sql(sql).unwrap();
+                }
+                live.ingest("flights", batch).unwrap();
+                for row in batch {
+                    let labels: Vec<&str> = row.iter().map(String::as_str).collect();
+                    grown.push_row_labels(&labels);
+                }
+                let cold = paper_session_on(grown.clone(), config.clone());
+                let (model, fresh) = (live.model(), cold.model());
+                let method = &config.reweighting;
+                assert_eq!(bits(&model), bits(&fresh), "{method:?}");
+                assert_eq!(model.ipf_report(), fresh.ipf_report(), "{method:?}");
+                assert!(
+                    !themis_live::bn_parameters_moved(
+                        model.bayesian_network(),
+                        fresh.bayesian_network()
+                    ),
+                    "{method:?}"
+                );
+                for sql in &queries {
+                    let (a, b) = (live.sql(sql).unwrap(), cold.sql(sql).unwrap());
+                    assert_eq!((a.result, a.route), (b.result, b.route), "{method:?}: {sql}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn unmoved_ingest_keeps_replicates_and_resimulates_zero() {
         let s = live_session();
         let sql = "SELECT o_st, COUNT(*) FROM flights GROUP BY o_st";
@@ -1447,22 +1469,51 @@ mod tests {
     }
 
     #[test]
-    fn invalidation_drops_only_entries_touching_the_ingested_table() {
+    fn ingest_drops_every_cached_answer() {
         let s = live_session();
-        // The session binds its one relation under any FROM name, so two
-        // spellings give two fingerprints over two distinct tables.
+        // The session binds its one relation under any FROM name, so an
+        // ingest addressed to `flights` makes the `voyages` answer stale
+        // too.
         s.sql("SELECT COUNT(*) FROM flights").unwrap();
         s.sql("SELECT COUNT(*) FROM voyages").unwrap();
         assert_eq!(s.live_snapshot().cache_entries, 2);
         let report = s.ingest("flights", &[]).unwrap();
-        assert_eq!(report.cache_entries_dropped, 1);
+        assert_eq!(report.table, "flights");
+        assert_eq!(report.cache_entries_dropped, 2);
         let snap = s.live_snapshot();
-        assert_eq!(snap.cache_entries, 1);
-        assert_eq!(snap.cache_invalidations, 1);
-        // The surviving entry is generation-0: the new world never serves
-        // it (fingerprints carry the generation), so this is still a miss.
+        assert_eq!(snap.cache_entries, 0);
+        assert_eq!(snap.cache_invalidations, 2);
         s.sql("SELECT COUNT(*) FROM voyages").unwrap();
-        assert_eq!(s.live_snapshot().cache_hits, 0);
+        let snap = s.live_snapshot();
+        assert_eq!((snap.cache_hits, snap.cache_misses), (0, 3));
+        // With the cache off an ingest drops nothing.
+        let off = open_world_session();
+        assert_eq!(off.ingest("flights", &[]).unwrap().cache_entries_dropped, 0);
+    }
+
+    #[test]
+    fn morsel_sizes_never_share_cache_entries() {
+        // Morsel blocks merge in morsel order, so a weighted group sum can
+        // differ in its last bits between morsel sizes: an answer cached
+        // at one size must not be served at another.
+        let s = live_session();
+        let sql = "SELECT o_st, d_st, COUNT(*) FROM flights GROUP BY o_st, d_st";
+        let at = |morsel_rows| EngineOptions {
+            threads: 1,
+            morsel_rows,
+            ..EngineOptions::default()
+        };
+        let small = s.sql_with(sql, &at(7)).unwrap();
+        let served = s.sql_with(sql, &at(2048)).unwrap();
+        let fresh = open_world_session().sql_with(sql, &at(2048)).unwrap();
+        assert_ne!(small.result, fresh.result, "the sizes must differ here");
+        assert_eq!(served.result, fresh.result);
+        let snap = s.live_snapshot();
+        assert_eq!((snap.cache_hits, snap.cache_misses), (0, 2));
+        // Each size keeps its own entry.
+        assert_eq!(s.explain_with(sql, &at(7)).unwrap().cached, Some(true));
+        assert_eq!(s.sql_with(sql, &at(7)).unwrap().result, small.result);
+        assert_eq!(s.live_snapshot().cache_hits, 1);
     }
 
     #[test]

@@ -119,18 +119,11 @@ impl Op<'_> {
     /// Run on the server connected at `addr`; the server applies the
     /// engine options the shell last pushed to it.
     fn run_remote(self, client: &mut Client, addr: &str) -> themis_serve::Outcome<Reply> {
-        let answer = |wire: themis_serve::WireAnswer| Answer {
-            result: wire.result,
-            route: wire.route,
-            elapsed: wire.elapsed,
-        };
         Ok(match self {
-            Op::Sql { sql, traced: false } => {
-                client.query(sql)?.map(|a| Reply::Answer(answer(a), None))
-            }
+            Op::Sql { sql, traced: false } => client.query(sql)?.map(|a| Reply::Answer(a, None)),
             Op::Sql { sql, traced: true } => client
                 .query_traced(sql)?
-                .map(|(a, trace)| Reply::Answer(answer(a), Some(trace.render()))),
+                .map(|(a, trace)| Reply::Answer(a, Some(trace.render()))),
             Op::Explain(sql) => client.explain(sql)?.map(|e| Reply::Text(e.to_string())),
             Op::Ingest { table, rows } => client
                 .ingest(table, rows)?
@@ -574,9 +567,9 @@ impl Session {
     }
 
     /// `\ingest <table> <v,v,...> [<v,v,...> ...]` — append labeled rows to
-    /// the model (a new world generation; cached answers for the table are
-    /// invalidated). In client mode the rows travel to the server and every
-    /// connection sees the new generation.
+    /// the model (a new world generation; the answer cache is flushed). In
+    /// client mode the rows travel to the server and every connection sees
+    /// the new generation.
     fn cmd_ingest(&mut self, args: &[&str]) -> String {
         let [table, row_specs @ ..] = args else {
             return "usage: \\ingest <table> <v,v,...> [<v,v,...> ...]".into();
@@ -774,7 +767,7 @@ commands:
   \\cache [on|off|stats]                        answer cache by plan fingerprint
                                                (bit-identical; latency only)
   \\ingest <table> <v,v,...> [...]              append labeled rows: new generation,
-                                               incremental reweighting, cache invalidation
+                                               incremental reweighting, cache flush
   \\status                                      show session state
   \\connect <host:port>                         client mode: run SQL on a themis-served
   \\disconnect                                  leave client mode

@@ -1,84 +1,69 @@
-//! The bounded, sharded answer cache.
+//! The bounded answer cache: one map behind one lock, with exact LRU
+//! eviction.
 //!
 //! Values are stored as `Arc<T>` — a hit hands back the *same* allocation
 //! the populating run produced, so a cached answer is bit-identical to a
 //! fresh execution by construction. The cache never transforms what it
 //! stores.
 //!
+//! There is no per-table invalidation: a session serves its one relation
+//! under every `FROM` name, so an ingest makes every entry stale, and the
+//! session empties the cache with [`AnswerCache::clear`].
+//!
 //! ## Determinism
 //!
 //! Everything observable about the cache is deterministic for a fixed
-//! request sequence (the wire goldens pin hit/miss/evict counts):
-//!
-//! * shard selection uses FNV-1a over the fingerprint key, not the standard
-//!   library's unspecified default hasher;
-//! * eviction picks the minimum `(epoch, key)` pair, so the scan over a
-//!   shard's `HashMap` cannot leak iteration order into *which* entry is
-//!   evicted — a total order breaks every tie.
+//! request sequence (the wire goldens pin hit/miss/evict counts). Every
+//! lookup and insert takes the next value of one counter, and an entry
+//! keeps the value of its last hit or insert as its epoch. Epochs are
+//! therefore unique, so the eviction victim — the minimum epoch, the least
+//! recently used entry — is unique too, and the scan over the `HashMap`
+//! cannot leak iteration order into *which* entry is evicted.
 //!
 //! Iteration order never reaches a result either way: the only values that
 //! leave the cache are `Arc<T>` clones fetched by exact key.
 
 use crate::fingerprint::Fingerprint;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
-use std::sync::Arc;
-
-/// Number of independently-locked shards. A power of two so the FNV hash
-/// maps uniformly; small enough that `len()` stays cheap.
-const SHARDS: usize = 8;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 struct Entry<T> {
     value: Arc<T>,
-    tables: Vec<String>,
-    /// Last-access epoch: bumped on every hit, set on insert. The eviction
-    /// victim is the minimum `(epoch, key)`.
+    /// Epoch of the last hit or insert; the eviction victim has the
+    /// smallest.
     epoch: u64,
 }
 
-struct Shard<T> {
+struct Inner<T> {
     entries: HashMap<String, Entry<T>>,
+    /// The last epoch handed out.
+    epoch: u64,
 }
 
-/// A bounded, sharded map from plan fingerprints to shared answers.
+/// A bounded map from plan fingerprints to shared answers that evicts the
+/// least recently used entry when full.
 pub struct AnswerCache<T> {
-    shards: Vec<Mutex<Shard<T>>>,
-    shard_capacity: usize,
-    epoch: AtomicU64,
+    inner: Mutex<Inner<T>>,
+    capacity: usize,
 }
 
 impl<T> AnswerCache<T> {
-    /// A cache holding at most `capacity` entries (rounded up to a
-    /// multiple of the shard count; a zero capacity still holds one entry
-    /// per shard — "disabled" is a caller-level concept).
+    /// A cache holding at most `capacity` entries (a zero capacity still
+    /// holds one entry — "disabled" is a caller-level concept).
     pub fn new(capacity: usize) -> Self {
-        let shard_capacity = capacity.div_ceil(SHARDS).max(1);
         AnswerCache {
-            shards: (0..SHARDS)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        entries: HashMap::new(),
-                    })
-                })
-                .collect(),
-            shard_capacity,
-            epoch: AtomicU64::new(0),
+            inner: Mutex::new(Inner {
+                entries: HashMap::new(),
+                epoch: 0,
+            }),
+            capacity: capacity.max(1),
         }
     }
 
-    /// Deterministic FNV-1a shard index for a key.
-    fn shard(&self, key: &str) -> MutexGuard<'_, Shard<T>> {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in key.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        let idx = (h % SHARDS as u64) as usize;
-        // Indexing is in-bounds by construction (idx < SHARDS == len);
-        // poisoning is impossible to propagate usefully from a cache, so a
-        // poisoned shard keeps serving its contents.
-        self.shards[idx]
+    /// Poisoning is impossible to propagate usefully from a cache, so a
+    /// poisoned lock keeps serving its contents.
+    fn lock(&self) -> MutexGuard<'_, Inner<T>> {
+        self.inner
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
@@ -86,78 +71,56 @@ impl<T> AnswerCache<T> {
     /// Look up a fingerprint and bump its access epoch (the execution
     /// path). Returns a clone of the stored `Arc`.
     pub fn get(&self, fp: &Fingerprint) -> Option<Arc<T>> {
-        let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut shard = self.shard(fp.key());
-        let entry = shard.entries.get_mut(fp.key())?;
-        entry.epoch = epoch;
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        inner.epoch += 1;
+        let entry = inner.entries.get_mut(fp.key())?;
+        entry.epoch = inner.epoch;
         Some(Arc::clone(&entry.value))
     }
 
     /// Is this fingerprint resident? Does *not* bump the epoch — the
     /// `explain` path observes without steering eviction.
     pub fn contains(&self, fp: &Fingerprint) -> bool {
-        self.shard(fp.key()).entries.contains_key(fp.key())
+        self.lock().entries.contains_key(fp.key())
     }
 
-    /// Insert (or replace) an entry, evicting the shard's least-recently
-    /// used entry when full. Returns the number of entries evicted (0 or
-    /// 1).
+    /// Insert (or replace) an entry, evicting the least recently used entry
+    /// when full. Returns the number of entries evicted (0 or 1).
     pub fn insert(&self, fp: &Fingerprint, value: Arc<T>) -> usize {
-        let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut shard = self.shard(fp.key());
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        inner.epoch += 1;
         let mut evicted = 0;
-        if !shard.entries.contains_key(fp.key()) && shard.entries.len() >= self.shard_capacity {
-            // Deterministic victim: minimum (epoch, key). The total order
-            // makes the choice independent of HashMap iteration order.
-            let victim = shard
+        if !inner.entries.contains_key(fp.key()) && inner.entries.len() >= self.capacity {
+            let victim = inner
                 .entries
                 .iter()
-                .min_by(|a, b| (a.1.epoch, a.0).cmp(&(b.1.epoch, b.0)))
+                .min_by_key(|(_, e)| e.epoch)
                 .map(|(k, _)| k.clone());
             if let Some(k) = victim {
-                shard.entries.remove(&k);
+                inner.entries.remove(&k);
                 evicted = 1;
             }
         }
-        shard.entries.insert(
-            fp.key().to_string(),
-            Entry {
-                value,
-                tables: fp.tables().to_vec(),
-                epoch,
-            },
-        );
+        let epoch = inner.epoch;
+        inner
+            .entries
+            .insert(fp.key().to_string(), Entry { value, epoch });
         evicted
     }
 
-    /// Drop every entry whose plan touches `table`; returns how many were
-    /// dropped. Entries over other tables survive — this is the selective
-    /// half of ingest invalidation (the generation in the fingerprint is
-    /// the belt-and-braces half).
-    pub fn invalidate_table(&self, table: &str) -> usize {
-        let mut dropped = 0;
-        for shard in &self.shards {
-            let mut shard = shard
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            let before = shard.entries.len();
-            shard.entries.retain(|_, e| !e.tables.iter().any(|t| t == table));
-            dropped += before - shard.entries.len();
-        }
+    /// Drop every entry; returns how many were resident.
+    pub fn clear(&self) -> usize {
+        let mut inner = self.lock();
+        let dropped = inner.entries.len();
+        inner.entries.clear();
         dropped
     }
 
     /// Current number of resident entries.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .entries
-                    .len()
-            })
-            .sum()
+        self.lock().entries.len()
     }
 
     /// True when nothing is resident.
@@ -170,7 +133,7 @@ impl<T> std::fmt::Debug for AnswerCache<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AnswerCache")
             .field("entries", &self.len())
-            .field("shard_capacity", &self.shard_capacity)
+            .field("capacity", &self.capacity)
             .finish()
     }
 }
@@ -212,47 +175,61 @@ mod tests {
     }
 
     #[test]
-    fn invalidation_is_selective_by_table() {
+    fn clear_drops_every_entry() {
         let cache: AnswerCache<u32> = AnswerCache::new(16);
         let on_t = fp("SELECT COUNT(*) AS n FROM t");
         let on_u = fp("SELECT COUNT(*) AS n FROM u");
         cache.insert(&on_t, Arc::new(1));
         cache.insert(&on_u, Arc::new(2));
-        assert_eq!(cache.invalidate_table("t"), 1);
-        assert!(cache.get(&on_t).is_none(), "t entries dropped");
-        assert!(cache.get(&on_u).is_some(), "u entries survive");
-        assert_eq!(cache.invalidate_table("nope"), 0);
+        assert_eq!(cache.clear(), 2);
+        assert!(cache.is_empty());
+        assert!(cache.get(&on_t).is_none());
+        assert!(cache.get(&on_u).is_none());
+        assert_eq!(cache.clear(), 0);
+        // A cleared cache fills up again to its full capacity.
+        cache.insert(&on_t, Arc::new(3));
+        assert_eq!(cache.get(&on_t).as_deref(), Some(&3));
     }
 
     #[test]
-    fn eviction_is_lru_by_epoch_with_deterministic_ties() {
-        // Capacity 0 rounds up to one entry per shard, so two keys landing
-        // in the same shard force an eviction; run enough keys that every
-        // shard sees pressure and verify the most-recently-touched key per
-        // shard survives.
-        let cache: AnswerCache<u32> = AnswerCache::new(0);
-        let a = fp("SELECT COUNT(*) AS n FROM t LIMIT 1");
-        let b = fp("SELECT COUNT(*) AS n FROM t LIMIT 2");
-        cache.insert(&a, Arc::new(1));
-        let evicted: usize = (0..1).map(|_| cache.insert(&b, Arc::new(2))).sum();
-        if evicted == 1 {
-            // Same shard: a was LRU, so b survives alone.
-            assert!(cache.get(&a).is_none());
-            assert!(cache.get(&b).is_some());
-        } else {
-            // Different shards: both resident.
-            assert!(cache.get(&a).is_some());
-            assert!(cache.get(&b).is_some());
+    fn eviction_removes_the_exact_lru_victim() {
+        let keys: Vec<Fingerprint> = (1..=5)
+            .map(|n| fp(&format!("SELECT COUNT(*) AS n FROM t LIMIT {n}")))
+            .collect();
+        let cache: AnswerCache<usize> = AnswerCache::new(3);
+        for (i, k) in keys[..3].iter().enumerate() {
+            assert_eq!(cache.insert(k, Arc::new(i)), 0);
         }
+        // A hit makes keys[0] the most recently used: keys[1] is the victim.
+        assert!(cache.get(&keys[0]).is_some());
+        assert_eq!(cache.insert(&keys[3], Arc::new(3)), 1);
+        let resident = |k: &Fingerprint| cache.contains(k);
+        assert!(!resident(&keys[1]));
+        assert!(resident(&keys[0]) && resident(&keys[2]) && resident(&keys[3]));
+        // Replacing a resident key evicts nothing and counts as a use.
+        assert_eq!(cache.insert(&keys[2], Arc::new(2)), 0);
+        assert_eq!(cache.insert(&keys[4], Arc::new(4)), 1);
+        assert!(!resident(&keys[0]));
+        assert_eq!(cache.len(), 3);
+        // A zero capacity still holds one entry.
+        let tiny: AnswerCache<usize> = AnswerCache::new(0);
+        assert_eq!(tiny.insert(&keys[0], Arc::new(0)), 0);
+        assert_eq!(tiny.insert(&keys[1], Arc::new(1)), 1);
+        assert_eq!(tiny.len(), 1);
     }
 
     #[test]
     fn contains_does_not_bump_the_epoch() {
-        let cache: AnswerCache<u32> = AnswerCache::new(16);
-        let f = fp("SELECT COUNT(*) AS n FROM t");
-        cache.insert(&f, Arc::new(7));
-        let before = cache.epoch.load(Ordering::Relaxed);
-        assert!(cache.contains(&f));
-        assert_eq!(cache.epoch.load(Ordering::Relaxed), before);
+        let cache: AnswerCache<u32> = AnswerCache::new(2);
+        let a = fp("SELECT COUNT(*) AS n FROM t LIMIT 1");
+        let b = fp("SELECT COUNT(*) AS n FROM t LIMIT 2");
+        let c = fp("SELECT COUNT(*) AS n FROM t LIMIT 3");
+        cache.insert(&a, Arc::new(1));
+        cache.insert(&b, Arc::new(2));
+        assert!(cache.contains(&a));
+        // `a` is still the least recently used entry, so it is the victim.
+        assert_eq!(cache.insert(&c, Arc::new(3)), 1);
+        assert!(!cache.contains(&a));
+        assert!(cache.contains(&b) && cache.contains(&c));
     }
 }

@@ -11,26 +11,30 @@
 //! * the [`Limits`] in force — a row/group budget or deadline changes
 //!   which answers are *possible*, so differently-governed connections
 //!   never share entries;
-//! * the world `generation`, bumped by every ingest — a stale entry can
-//!   never be served even before invalidation drops it.
+//! * the world `generation`, bumped by every ingest — an entry that a
+//!   query still pinned to the old world inserts after the ingest flushed
+//!   the cache is never served on the new world;
+//! * the `morsel_rows` the answer was computed at, which the session adds
+//!   with [`Fingerprint::with_morsel_rows`]: the morsel engine merges
+//!   morsel blocks in morsel order, so a weighted sum can differ in its
+//!   last bits between two morsel sizes (see `themis_query`'s
+//!   `exec_parallel` docs).
 //!
-//! It deliberately excludes `threads` and `morsel_rows`: the differential
-//! suites (`tests/exec_differential.rs`, `tests/session_differential.rs`)
-//! prove answers bit-identical across those knobs, so keying on them would
-//! only shred the hit rate. Fault plans, cancel tokens, and enabled trace
-//! sinks are not fingerprinted at all — they *bypass* the cache entirely
-//! (see `ThemisSession`).
+//! It deliberately excludes `threads`: the differential suites
+//! (`tests/exec_differential.rs`, `tests/session_differential.rs`) prove
+//! answers bit-identical across thread counts at a fixed morsel size, so
+//! keying on it would only shred the hit rate. Fault plans, cancel tokens,
+//! and enabled trace sinks are not fingerprinted at all — they *bypass* the
+//! cache entirely (see `ThemisSession`).
 
 use std::fmt::Write as _;
 use themis_query::Limits;
 use themis_sql::{Predicate, Query, SelectItem};
 
-/// A canonical cache key plus the tables the plan touches (for selective
-/// invalidation on ingest).
+/// A canonical cache key.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fingerprint {
     key: String,
-    tables: Vec<String>,
 }
 
 impl Fingerprint {
@@ -39,15 +43,12 @@ impl Fingerprint {
         &self.key
     }
 
-    /// Sorted, deduplicated catalog names of the FROM tables.
-    pub fn tables(&self) -> &[String] {
-        &self.tables
-    }
-
-    /// Does this plan read `table`? Ingesting into `table` must drop every
-    /// entry for which this is true.
-    pub fn touches(&self, table: &str) -> bool {
-        self.tables.iter().any(|t| t == table)
+    /// This fingerprint for an answer computed at `morsel_rows` rows per
+    /// morsel: answers computed at different morsel sizes never share a
+    /// key.
+    pub fn with_morsel_rows(mut self, morsel_rows: usize) -> Fingerprint {
+        let _ = write!(self.key, "|morsel:{morsel_rows}");
+        self
     }
 }
 
@@ -60,11 +61,7 @@ pub fn plan_fingerprint(query: &Query, limits: &Limits, generation: u64) -> Fing
     key.push_str("|limits:");
     render_limits(&mut key, limits);
     let _ = write!(key, "|gen:{generation}");
-
-    let mut tables: Vec<String> = query.from.iter().map(|t| t.name.clone()).collect();
-    tables.sort();
-    tables.dedup();
-    Fingerprint { key, tables }
+    Fingerprint { key }
 }
 
 fn render_query(out: &mut String, q: &Query) {
@@ -236,19 +233,15 @@ mod tests {
     }
 
     #[test]
-    fn tables_are_sorted_and_deduped() {
-        let f = fp("SELECT COUNT(*) AS n FROM t x, t y WHERE x.a = y.a");
-        assert_eq!(f.tables(), ["t"]);
-        assert!(f.touches("t"));
-        assert!(!f.touches("u"));
-    }
-
-    #[test]
-    fn threads_and_morsel_rows_have_no_representation() {
-        // The key renders plan + limits + generation only; engine shape
-        // knobs cannot appear because they are never passed in.
+    fn threads_have_no_representation_and_morsel_rows_do() {
+        // The plan key renders plan + limits + generation only; the engine
+        // shape is never passed in.
         let f = fp("SELECT COUNT(*) AS n FROM t");
         assert!(!f.key().contains("thread"));
         assert!(!f.key().contains("morsel"));
+        // The session keys each answer on its morsel size as well.
+        let (small, large) = (f.clone().with_morsel_rows(7), f.with_morsel_rows(2048));
+        assert_ne!(small.key(), large.key());
+        assert!(!small.key().contains("thread"));
     }
 }

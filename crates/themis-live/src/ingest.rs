@@ -1,10 +1,11 @@
 //! Data-plane helpers for streaming ingest.
 //!
-//! `ThemisSession::ingest` (in `themis-core`) orchestrates the full
-//! pipeline — reweight, relearn, swap. The pieces that don't need the
-//! session live here: validating and appending labeled rows to a
-//! [`Relation`], and deciding whether a rebuilt Bayesian network actually
-//! *moved* relative to the old one (the gate on replicate re-simulation).
+//! `ThemisSession::ingest` (in `themis-core`) grows the model, refits it
+//! through the model's own fit (reweight, relearn), and swaps it in. The
+//! pieces that need neither live here: validating and appending labeled
+//! rows to a [`Relation`], and deciding whether a rebuilt Bayesian network
+//! actually *moved* relative to the old one (the gate on replicate
+//! re-simulation).
 
 use themis_bn::BayesianNetwork;
 use themis_data::{AttrId, Relation};
@@ -37,10 +38,9 @@ pub enum IngestError {
 impl std::fmt::Display for IngestError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            IngestError::Arity { row, expected, got } => write!(
-                f,
-                "ingest row {row}: expected {expected} values, got {got}"
-            ),
+            IngestError::Arity { row, expected, got } => {
+                write!(f, "ingest row {row}: expected {expected} values, got {got}")
+            }
             IngestError::UnknownLabel { row, column, label } => write!(
                 f,
                 "ingest row {row}: unknown label '{label}' for column {column}"

@@ -3,23 +3,27 @@
 //! The live-data subsystem: everything Themis needs to serve queries while
 //! the underlying sample *moves*. Two cooperating halves:
 //!
-//! * [`cache`] — a bounded, sharded [`AnswerCache`] keyed on a canonical
-//!   **plan fingerprint** ([`fingerprint`]). The fingerprint covers the
+//! * [`cache`] — a bounded [`AnswerCache`]: one map behind one lock, with
+//!   exact least-recently-used eviction, keyed on a canonical **plan
+//!   fingerprint** ([`fingerprint`]). The fingerprint covers the
 //!   normalized SQL plan, the [`themis_query::Limits`] that can change an
-//!   answer, and the world *generation* — and deliberately excludes
-//!   `threads` / `morsel_rows`, which the differential suites prove
-//!   answer-invariant. Eviction is LRU-ish by access epoch with a
-//!   deterministic `(epoch, key)` tie-break, so a fixed request sequence
-//!   always produces the same hit/miss/evict counts (the wire goldens pin
-//!   them).
+//!   answer, and the world *generation*; the session adds the
+//!   `morsel_rows` the answer was computed at, since morsel blocks merge
+//!   in morsel order and two morsel sizes can differ in an answer's last
+//!   bits. It deliberately excludes `threads`, which the differential
+//!   suites prove answer-invariant. Epochs come from one counter, so they
+//!   are unique and a fixed request sequence always produces the same
+//!   hit/miss/evict counts (the wire goldens pin them). An ingest flushes
+//!   the whole cache ([`AnswerCache::clear`]).
 //!
 //! * [`ingest`] — the data-plane helpers behind
 //!   `ThemisSession::ingest`: growing a relation by appended rows
 //!   (label-validated against the schema), and deciding whether an ingest
 //!   actually *moved* the learned BN parameters (replicates are
-//!   re-simulated only when it did). The incremental-marginal half lives in
-//!   `themis_aggregates::IncidenceMatrix::extend`, which this crate's
-//!   ingest path drives.
+//!   re-simulated only when it did). The model refit itself is
+//!   `themis_core`'s, the same fit a cold build runs; under IPF it extends
+//!   its incidence matrix through
+//!   `themis_aggregates::IncidenceMatrix::extend`.
 //!
 //! [`stats`] holds the [`LiveStats`] metrics bundle (hit/miss/evict/
 //! invalidate counters, ingest counters, generation gauge) registered in a

@@ -21,7 +21,7 @@ pub struct LiveStats {
     pub cache_bypasses: Arc<Counter>,
     /// Entries evicted by capacity pressure.
     pub cache_evictions: Arc<Counter>,
-    /// Entries dropped by ingest invalidation.
+    /// Entries flushed by ingests.
     pub cache_invalidations: Arc<Counter>,
     /// Resident cache entries.
     pub cache_entries: Arc<Gauge>,
@@ -108,7 +108,7 @@ pub struct LiveSnapshot {
     pub cache_bypasses: u64,
     /// Entries evicted by capacity pressure.
     pub cache_evictions: u64,
-    /// Entries dropped by ingest invalidation.
+    /// Entries flushed by ingests.
     pub cache_invalidations: u64,
     /// Resident cache entries.
     pub cache_entries: u64,

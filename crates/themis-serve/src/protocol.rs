@@ -66,8 +66,8 @@ pub enum Request {
     /// Append labeled rows to the shared world (a new generation; see
     /// [`themis_core::ThemisSession::ingest`]).
     Ingest {
-        /// Invalidation tag: cache entries whose plan touches this table
-        /// are dropped.
+        /// The table the batch is addressed to, echoed in the report (the
+        /// session serves its one relation under any `FROM` name).
         table: String,
         /// Rows as domain labels, one `Vec<String>` per row.
         rows: Vec<Vec<String>>,
@@ -569,17 +569,11 @@ fn span_from_json(j: &Json) -> Result<TraceSpan, String> {
     })
 }
 
-/// A `query` response decoded back into engine types — what the
-/// differential suite compares against the in-process oracle.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireAnswer {
-    /// The rows, columns, and group arity.
-    pub result: QueryResult,
-    /// The provenance stamp.
-    pub route: Route,
-    /// Server-measured execution time (informational; never compared).
-    pub elapsed: Duration,
-}
+/// A `query` response decoded back into the session's own [`Answer`] —
+/// what the differential suite compares against the in-process oracle. Its
+/// `elapsed` is the server-measured execution time (informational; never
+/// compared).
+pub type WireAnswer = Answer;
 
 /// Decode a successful `query` response (inverse of [`answer_body`]).
 pub fn decode_answer(j: &Json) -> Result<WireAnswer, String> {
@@ -620,7 +614,7 @@ pub fn decode_answer(j: &Json) -> Result<WireAnswer, String> {
             .and_then(Json::as_u64)
             .ok_or_else(|| "answer needs \"elapsed_us\"".to_string())?,
     );
-    Ok(WireAnswer {
+    Ok(Answer {
         result: QueryResult {
             columns,
             rows,
