@@ -65,6 +65,7 @@ pub use session::{Analyzed, Answer, IngestReport, ThemisSession};
 // Re-exported so server and CLI layers see the live-data types through one
 // front door.
 pub use themis_live::{IngestError, LiveSnapshot, LiveStats};
+pub use themis_obs::MetricValue;
 // Re-exported so session users configure the engine without importing
 // themis-query directly.
 pub use themis_query::{

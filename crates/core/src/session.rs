@@ -230,19 +230,6 @@ impl ThemisSession {
         Arc::clone(&self.pinned().model)
     }
 
-    /// Consume the session, handing the current generation's model back.
-    pub fn into_model(self) -> Themis {
-        let world = self
-            .world
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let model = match Arc::try_unwrap(world) {
-            Ok(w) => w.model,
-            Err(shared) => Arc::clone(&shared.model),
-        };
-        Arc::try_unwrap(model).unwrap_or_else(|shared| (*shared).clone())
-    }
-
     /// The engine configuration the short forms (`sql`, `explain`,
     /// `analyze`, ...) run with; the `_with` forms take the caller's.
     pub fn engine(&self) -> &EngineOptions {
@@ -356,7 +343,7 @@ impl ThemisSession {
             }
             self.live.cache_misses.inc();
         }
-        let (_, result, route) = self.routed(&world, sql, parsed, engine)?;
+        let (result, route) = self.routed(&world, sql, parsed, engine)?;
         let answer = Answer {
             result,
             route,
@@ -374,18 +361,19 @@ impl ThemisSession {
         Ok(answer)
     }
 
-    /// The one routed execution path behind [`ThemisSession::sql_with`] and
-    /// [`ThemisSession::analyze_with`]: parse (unless the caller already
-    /// has, as `parsed`), decide, execute. Spans go to `engine.trace`
-    /// (no-ops on the default disabled sink), and tracing never touches the
-    /// result — both entry points produce bit-identical answers.
+    /// The one routed execution path behind [`ThemisSession::sql_with`]
+    /// (and so behind [`ThemisSession::analyze_with`], which calls it
+    /// traced): parse (unless the caller already has, as `parsed`), decide,
+    /// execute. Spans go to `engine.trace` (no-ops on the default disabled
+    /// sink), and tracing never touches the result — traced and untraced
+    /// calls produce bit-identical answers.
     fn routed(
         &self,
         world: &World,
         sql: &str,
         parsed: Option<Query>,
         engine: &EngineOptions,
-    ) -> Result<(Query, QueryResult, Route), ThemisError> {
+    ) -> Result<(QueryResult, Route), ThemisError> {
         let trace = &engine.trace;
         let _query_span = trace.span("query");
         let query = {
@@ -463,7 +451,7 @@ impl ThemisSession {
                 route::hybrid_sql(world.model.sample_arc(), &query, engine, replicates)?
             }
         };
-        Ok((query, result, route))
+        Ok((result, route))
     }
 
     /// `EXPLAIN ANALYZE`: run `sql` exactly as [`ThemisSession::sql`] would
@@ -476,24 +464,19 @@ impl ThemisSession {
 
     /// [`ThemisSession::analyze`] with explicit per-call engine options.
     /// Any sink already present in `engine` is ignored: analysis always
-    /// collects into its own fresh sink.
+    /// collects into its own fresh sink. It is a traced
+    /// [`ThemisSession::sql_with`], so it bypasses the answer cache and
+    /// counts the bypass like any traced query.
     pub fn analyze_with(&self, sql: &str, engine: &EngineOptions) -> Result<Analyzed, ThemisError> {
         let sink = TraceSink::enabled();
         let mut traced_engine = engine.clone();
         traced_engine.trace = sink.clone();
-        let start = Instant::now();
-        let world = self.pinned();
-        let (query, result, route) = self.routed(&world, sql, None, &traced_engine)?;
-        let elapsed = start.elapsed();
+        let answer = self.sql_with(sql, &traced_engine)?;
         let trace = sink.finish();
-        let estimated_groups = Self::estimated_groups(&world.model, &query);
-        let actual_groups = result.rows.len() as u64;
+        let estimated_groups = Self::estimated_groups(&self.model(), &Self::parse(sql)?);
+        let actual_groups = answer.result.rows.len() as u64;
         Ok(Analyzed {
-            answer: Answer {
-                result,
-                route,
-                elapsed,
-            },
+            answer,
             trace,
             estimated_groups,
             actual_groups,
@@ -1219,7 +1202,8 @@ mod tests {
             morsel_rows: 64,
             ..EngineOptions::default()
         };
-        let s = ThemisSession::with_engine(open_world_session().into_model(), engine.clone());
+        let model = (*open_world_session().model()).clone();
+        let s = ThemisSession::with_engine(model, engine.clone());
         assert_eq!(s.engine().threads, 2);
         let sql = "SELECT o_st, COUNT(*) FROM flights GROUP BY o_st";
         let own = s.sql(sql).unwrap();
@@ -1297,6 +1281,28 @@ mod tests {
         let snap = s.live_snapshot();
         assert_eq!(snap.cache_bypasses, 3);
         assert_eq!(snap.cache_entries, 0);
+    }
+
+    #[test]
+    fn analyze_counts_its_cache_bypass_like_a_traced_query() {
+        let s = live_session();
+        let sql = "SELECT o_st, COUNT(*) FROM flights GROUP BY o_st";
+        let analyzed = s.analyze(sql).unwrap();
+        // The trace notes the bypass, and the counter agrees with it.
+        let note = analyzed.trace.find("query").and_then(|q| q.note("cache"));
+        assert_eq!(note, Some("bypass"));
+        let snap = s.live_snapshot();
+        assert_eq!(snap.cache_bypasses, 1);
+        assert_eq!(
+            (snap.cache_hits, snap.cache_misses, snap.cache_entries),
+            (0, 0, 0)
+        );
+        // The untraced query computes the same answer, and caches it.
+        let answer = s.sql(sql).unwrap();
+        assert_eq!(analyzed.answer.result, answer.result);
+        assert_eq!(analyzed.answer.route, answer.route);
+        let snap = s.live_snapshot();
+        assert_eq!((snap.cache_bypasses, snap.cache_misses), (1, 1));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! in-process `ThemisServer` with N concurrent clients over the real TCP
 //! wire and report p50/p99 round-trip latency, QPS, and the per-route mix
 //! the server's `stats` op exports — written to `BENCH_server.json`. As a
-//! CI gate it finishes with a metrics smoke check: the `metrics` op's
-//! registry export must count exactly the driven load (printed as
+//! CI gate it finishes with a metrics smoke check: the same `stats` export
+//! must count exactly the driven load (printed as
 //! `metrics-smoke: ok (queries=N)`).
 //!
 //! ```text
@@ -130,13 +130,12 @@ fn main() {
                 // Pull the server's own counters before shutting it down.
                 let mut observer = Client::connect(addr).expect("connect");
                 let stats = observer.stats().expect("transport").expect("stats");
-                let metrics = observer.metrics().expect("transport").expect("metrics");
                 handle.shutdown();
-                Some((per_client, wall, stats, metrics))
+                Some((per_client, wall, stats))
             }
         })
         .expect("orchestration pool");
-    let (per_client, wall, stats, registry) = outcomes
+    let (per_client, wall, stats) = outcomes
         .pop()
         .flatten()
         .expect("driver task reports its measurements");
@@ -152,8 +151,7 @@ fn main() {
         .iter()
         .map(|k| {
             let count = stats
-                .get("routes")
-                .and_then(|r| r.get(k))
+                .get(&format!("server.routes.{k}"))
                 .and_then(Json::as_u64)
                 .unwrap_or(0);
             ((*k).to_string(), Json::Num(count as f64))
@@ -204,22 +202,22 @@ fn main() {
         .unwrap_or_else(|e| panic!("could not write BENCH_server.json: {e}"));
     println!("wrote {}", path.display());
 
-    // Metrics smoke (CI gate): the registry's `metrics` op must agree with
-    // the load we just generated — exactly `total` queries counted, and
-    // the latency histogram saw every one of them.
-    let registry_queries = registry
+    // Metrics smoke (CI gate): the `stats` export must agree with the load
+    // we just generated — exactly `total` queries counted, and the latency
+    // histogram saw every one of them.
+    let registry_queries = stats
         .get("server.queries")
         .and_then(Json::as_u64)
-        .expect("metrics export carries server.queries");
+        .expect("stats export carries server.queries");
     assert_eq!(
         registry_queries, total as u64,
-        "metrics registry disagrees with the driven load"
+        "stats export disagrees with the driven load"
     );
-    let latency_count = registry
+    let latency_count = stats
         .get("server.query_latency_us")
         .and_then(|h| h.get("count"))
         .and_then(Json::as_u64)
-        .expect("metrics export carries the latency histogram");
+        .expect("stats export carries the latency histogram");
     assert_eq!(
         latency_count, total as u64,
         "latency histogram missed successful queries"

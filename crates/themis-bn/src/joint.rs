@@ -168,12 +168,6 @@ pub fn learn_parameters_joint(
     )
 }
 
-/// Number of CPT parameters a joint solve touches per gradient sweep —
-/// used by the ablation bench to report work.
-pub fn joint_work(net: &BayesianNetwork, aggregates: &AggregateSet) -> usize {
-    net.schema().joint_cells() * aggregates.total_groups()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,9 +196,8 @@ mod tests {
         let set = AggregateSet::from_results(vec![
             AggregateResult::compute(&p, &[AttrId(1), AttrId(2)]),
         ]);
-        let (net, report) = learn_parameters_joint(&s, &set, 10.0, vec![vec![], vec![], vec![]], 5);
+        let (_, report) = learn_parameters_joint(&s, &set, 10.0, vec![vec![], vec![], vec![]], 5);
         assert_eq!(report.joint_cells, 2 * 3 * 3);
-        assert!(joint_work(&net, &set) >= report.joint_cells);
     }
 
     #[test]

@@ -13,14 +13,17 @@
 //! `\connect <addr>` switches the shell into client mode against a running
 //! `themis-served`: SQL, `\explain`, `\ingest` and `\cache stats` run on the
 //! server (one dispatch decides where each of them runs), the governance
-//! commands become a per-connection `set` on the server, and `\disconnect`
-//! returns to the local model. Answers keep their provenance footer either
-//! way — the `Route` stamp crosses the wire intact.
+//! commands become a per-connection `set` on the server, `\stats` prints
+//! the server's metrics export, and `\disconnect` returns to the local
+//! model. `\cache stats` renders the `live.*` entries of a metrics export
+//! in both modes, the local session's or the server's. Answers keep their
+//! provenance footer either way — the `Route` stamp crosses the wire
+//! intact.
 
 use std::time::Duration;
 use themis_aggregates::{AggregateResult, AggregateSet};
 use themis_core::{
-    saturating_micros, Answer, EngineOptions, IngestReport, LiveSnapshot, Route, Themis,
+    saturating_micros, Answer, EngineOptions, IngestReport, MetricValue, Route, Themis,
     ThemisConfig, ThemisError, ThemisSession,
 };
 use themis_data::ingest::{ingest_csv, ColumnSpec};
@@ -112,13 +115,20 @@ impl Op<'_> {
             Op::Ingest { table, rows } => {
                 Reply::Text(describe_ingest(&session.ingest(table, rows)?))
             }
-            Op::CacheStats => Reply::Text(describe_live(&session.live_snapshot())),
+            Op::CacheStats => {
+                let export = session.live_stats().export();
+                let counts = export.iter().filter_map(|(name, value)| match value {
+                    MetricValue::Counter(v) | MetricValue::Gauge(v) => Some((name.as_str(), *v)),
+                    MetricValue::Histogram(_) => None,
+                });
+                Reply::Text(describe_live(counts))
+            }
         })
     }
 
-    /// Run on the server connected at `addr`; the server applies the
-    /// engine options the shell last pushed to it.
-    fn run_remote(self, client: &mut Client, addr: &str) -> themis_serve::Outcome<Reply> {
+    /// Run on the connected server; the server applies the engine options
+    /// the shell last pushed to it.
+    fn run_remote(self, client: &mut Client) -> themis_serve::Outcome<Reply> {
         Ok(match self {
             Op::Sql { sql, traced: false } => client.query(sql)?.map(|a| Reply::Answer(a, None)),
             Op::Sql { sql, traced: true } => client
@@ -128,9 +138,16 @@ impl Op<'_> {
             Op::Ingest { table, rows } => client
                 .ingest(table, rows)?
                 .map(|report| Reply::Text(describe_ingest(&report))),
-            Op::CacheStats => client
-                .stats()?
-                .map(|stats| Reply::Text(describe_server_cache(addr, &stats))),
+            Op::CacheStats => client.stats()?.map(|stats| {
+                let entries = match &stats {
+                    Json::Obj(entries) => entries.as_slice(),
+                    _ => &[],
+                };
+                let counts = entries
+                    .iter()
+                    .filter_map(|(name, value)| Some((name.as_str(), value.as_u64()?)));
+                Reply::Text(describe_live(counts))
+            }),
         })
     }
 }
@@ -184,8 +201,7 @@ impl Session {
             Some("budget") => Outcome::Continue(self.cmd_budget(&parts[1..])),
             Some("connect") => Outcome::Continue(self.cmd_connect(&parts[1..])),
             Some("disconnect") => Outcome::Continue(self.cmd_disconnect()),
-            Some("stats") => Outcome::Continue(self.cmd_server_export(Client::stats)),
-            Some("metrics") => Outcome::Continue(self.cmd_server_export(Client::metrics)),
+            Some("stats") => Outcome::Continue(self.cmd_stats()),
             Some("trace") => Outcome::Continue(self.cmd_trace(&parts[1..])),
             Some("cache") => Outcome::Continue(self.cmd_cache(&parts[1..])),
             Some("ingest") => Outcome::Continue(self.cmd_ingest(&parts[1..])),
@@ -501,16 +517,15 @@ impl Session {
         }
     }
 
-    /// `\stats` / `\metrics` — one of the connected server's exports,
-    /// verbatim: its counters (connections, queries, per-route and
-    /// per-degrade-reason tallies) or its metrics registry (counters,
-    /// gauges, and the query-latency histogram with p50/p90/p99).
-    fn cmd_server_export(
-        &mut self,
-        export: fn(&mut Client) -> themis_serve::Outcome<Json>,
-    ) -> String {
+    /// `\stats` — the connected server's metrics export, verbatim: its
+    /// counters (connections, queries, per-route, per-degrade-reason and
+    /// per-trip tallies), the query-latency histogram with p50/p90/p99, and
+    /// the shared world's `live.*` cache and ingest metrics.
+    fn cmd_stats(&mut self) -> String {
         let text = self.on_server(|client, addr| {
-            export(client).map(|json| json.map(|j| format!("server {addr}: {j}")))
+            client
+                .stats()
+                .map(|json| json.map(|j| format!("server {addr}: {j}")))
         });
         match text {
             Some(Ok(text) | Err(text)) => text,
@@ -601,7 +616,7 @@ impl Session {
             Some((addr, _)) => format!(" on {addr}"),
             None => String::new(),
         };
-        let reply = match self.on_server(|client, addr| op.run_remote(client, addr)) {
+        let reply = match self.on_server(|client, _| op.run_remote(client)) {
             Some(reply) => reply,
             None => match &self.model {
                 Some(session) => op
@@ -718,35 +733,15 @@ fn describe_ingest(report: &IngestReport) -> String {
     )
 }
 
-/// The `\cache stats` body for the local model: its cache and ingest
-/// counters.
-fn describe_live(s: &LiveSnapshot) -> String {
-    format!(
-        "cache: {} hits, {} misses, {} bypasses, {} evictions, {} invalidations, {} entries\n\
-         ingest: {} batches, {} rows, generation {}, {} replicates resimulated, {} kept",
-        s.cache_hits,
-        s.cache_misses,
-        s.cache_bypasses,
-        s.cache_evictions,
-        s.cache_invalidations,
-        s.cache_entries,
-        s.ingest_batches,
-        s.ingest_rows,
-        s.generation,
-        s.replicates_resimulated,
-        s.replicates_kept,
-    )
-}
-
-/// The `\cache stats` body for a server: the cache and ingest sections of
-/// its counters.
-fn describe_server_cache(addr: &str, stats: &Json) -> String {
-    match (stats.get("cache"), stats.get("ingest")) {
-        (Some(cache), Some(ingest)) => {
-            format!("server {addr}:\n  cache: {cache}\n  ingest: {ingest}")
-        }
-        _ => format!("server {addr} reports no cache section: {stats}"),
-    }
+/// The `\cache stats` body, shared by local and client mode: the `live.*`
+/// entries of a metrics export, one `name value` line each, in export
+/// (name) order.
+fn describe_live<'a>(entries: impl Iterator<Item = (&'a str, u64)>) -> String {
+    entries
+        .filter(|(name, _)| name.starts_with("live."))
+        .map(|(name, value)| format!("{name} {value}"))
+        .collect::<Vec<_>>()
+        .join("\n")
 }
 
 const HELP: &str = "\
@@ -771,9 +766,8 @@ commands:
   \\status                                      show session state
   \\connect <host:port>                         client mode: run SQL on a themis-served
   \\disconnect                                  leave client mode
-  \\stats                                       connected server's counters
-  \\metrics                                     connected server's metrics registry
-                                               (incl. query-latency p50/p90/p99)
+  \\stats                                       connected server's metrics: counters,
+                                               route mix, query-latency p50/p90/p99
   \\quit                                        exit
 anything else is executed as SQL against the model, e.g.
   SELECT origin_state, COUNT(*) FROM flights GROUP BY origin_state;";
@@ -1121,9 +1115,13 @@ mod tests {
         let Outcome::Continue(stats) = s.handle("\\cache stats") else {
             panic!()
         };
-        assert!(stats.contains("1 hits"), "{stats}");
-        assert!(stats.contains("1 misses"), "{stats}");
-        assert!(stats.contains("1 entries"), "{stats}");
+        for line in [
+            "live.cache.hits 1",
+            "live.cache.misses 1",
+            "live.cache.entries 1",
+        ] {
+            assert!(stats.lines().any(|l| l == line), "{line}: {stats}");
+        }
         // Status shows the toggle; `off` drops the contents.
         let Outcome::Continue(status) = s.handle("\\status") else {
             panic!()
@@ -1186,8 +1184,9 @@ mod tests {
         let Outcome::Continue(stats) = s.handle("\\cache stats") else {
             panic!()
         };
-        assert!(stats.contains("1 batches"), "{stats}");
-        assert!(stats.contains("generation 1"), "{stats}");
+        for line in ["live.ingest.batches 1", "live.world.generation 1"] {
+            assert!(stats.lines().any(|l| l == line), "{line}: {stats}");
+        }
         // Usage and missing-model paths.
         assert!(matches!(
             s.handle("\\ingest flights"),
@@ -1276,14 +1275,9 @@ mod tests {
                             panic!("recovered sql")
                         };
                         assert!(out.contains("-- "), "{out}");
-                        // Server counters are one command away.
+                        // The server's metrics export is one command away.
                         let Outcome::Continue(out) = s.handle("\\stats") else {
                             panic!("stats")
-                        };
-                        assert!(out.contains("\"queries\""), "{out}");
-                        // …and so is the metrics registry export.
-                        let Outcome::Continue(out) = s.handle("\\metrics") else {
-                            panic!("metrics")
                         };
                         assert!(out.contains("\"server.queries\""), "{out}");
                         assert!(out.contains("\"server.query_latency_us\""), "{out}");
@@ -1303,7 +1297,7 @@ mod tests {
                         let Outcome::Continue(out) = s.handle("\\cache stats") else {
                             panic!("cache stats")
                         };
-                        assert!(out.contains("\"batches\":1"), "{out}");
+                        assert!(out.lines().any(|l| l == "live.ingest.batches 1"), "{out}");
                         // `\trace on` travels as the `"trace":true` flag.
                         s.handle("\\trace on");
                         let Outcome::Continue(out) =
@@ -1359,9 +1353,10 @@ mod tests {
             s.handle("\\stats"),
             Outcome::Continue(ref m) if m.contains("not connected")
         ));
+        // `\stats` serves the one metrics export; there is no `\metrics`.
         assert!(matches!(
             s.handle("\\metrics"),
-            Outcome::Continue(ref m) if m.contains("not connected")
+            Outcome::Continue(ref m) if m.contains("unknown command")
         ));
     }
 

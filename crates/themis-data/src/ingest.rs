@@ -221,11 +221,6 @@ pub fn ingest_csv(text: &str, specs: &[ColumnSpec]) -> Result<Ingested, IngestEr
     })
 }
 
-/// Ingest with all columns categorical.
-pub fn ingest_csv_categorical(text: &str, columns: usize) -> Result<Ingested, IngestError> {
-    ingest_csv(text, &vec![ColumnSpec::Categorical; columns])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,14 +310,14 @@ WA,30.0,03
 
     #[test]
     fn categorical_shortcut() {
-        let out = ingest_csv_categorical("a,b\nx,p\ny,q\nx,p\n", 2).unwrap();
+        let out = ingest_csv("a,b\nx,p\ny,q\nx,p\n", &[ColumnSpec::Categorical; 2]).unwrap();
         assert_eq!(out.relation.len(), 3);
         assert_eq!(out.relation.group_row_counts(&[AttrId(0)]).len(), 2);
     }
 
     #[test]
     fn whitespace_is_trimmed() {
-        let out = ingest_csv_categorical("a , b\n x , y \n", 2).unwrap();
+        let out = ingest_csv("a , b\n x , y \n", &[ColumnSpec::Categorical; 2]).unwrap();
         assert_eq!(out.relation.schema().attr(AttrId(0)).name(), "a");
         assert_eq!(out.relation.schema().domain(AttrId(0)).label(0), "x");
     }

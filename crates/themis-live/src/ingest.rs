@@ -53,7 +53,7 @@ impl std::error::Error for IngestError {}
 
 /// Encode `rows` (label strings, schema order) against `base`'s schema.
 /// All-or-nothing: the first bad row fails the whole batch.
-pub fn encode_rows(base: &Relation, rows: &[Vec<String>]) -> Result<Vec<Vec<u32>>, IngestError> {
+fn encode_rows(base: &Relation, rows: &[Vec<String>]) -> Result<Vec<Vec<u32>>, IngestError> {
     let schema = base.schema();
     let arity = schema.arity();
     let mut encoded = Vec::with_capacity(rows.len());

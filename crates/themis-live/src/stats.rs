@@ -1,7 +1,7 @@
 //! Live-data metrics: one [`LiveStats`] bundle per session.
 //!
 //! All counters live in a dedicated `themis_obs::MetricsRegistry` under
-//! the `live.` prefix, so a server can merge them into its own `metrics`
+//! the `live.` prefix, so a server can merge them into its own `stats`
 //! export (both exports are name-sorted; the merge stays deterministic).
 //! Handles are hoisted `Arc`s — the hot paths never touch the registry
 //! mutex.

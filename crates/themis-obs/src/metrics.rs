@@ -4,7 +4,7 @@
 //! Everything here is `std::sync::atomic` — no locks on the record path,
 //! no allocation after registration, no external dependencies. The
 //! registry export sorts by metric name, so serializing it (the server's
-//! `metrics` op) is reproducible byte for byte regardless of registration
+//! `stats` op) is reproducible byte for byte regardless of registration
 //! or update order.
 
 use std::sync::atomic::{AtomicU64, Ordering};

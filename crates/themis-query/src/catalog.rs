@@ -34,17 +34,6 @@ impl Catalog {
     pub fn get(&self, name: &str) -> Option<&Relation> {
         self.tables.get(name).map(|r| r.as_ref())
     }
-
-    /// Look up a table as its shared handle (for callers that want to keep
-    /// the relation alive past the catalog, without cloning data).
-    pub fn get_arc(&self, name: &str) -> Option<&Arc<Relation>> {
-        self.tables.get(name)
-    }
-
-    /// Registered table names (unordered).
-    pub fn table_names(&self) -> impl Iterator<Item = &str> {
-        self.tables.keys().map(|s| s.as_str())
-    }
 }
 
 #[cfg(test)]
@@ -58,7 +47,6 @@ mod tests {
         c.register("flights", example_sample());
         assert!(c.get("flights").is_some());
         assert!(c.get("missing").is_none());
-        assert_eq!(c.table_names().count(), 1);
     }
 
     #[test]
@@ -81,7 +69,6 @@ mod tests {
         assert_eq!(Arc::strong_count(&shared), 3);
         assert!(std::ptr::eq(c.get("a").unwrap(), shared.as_ref()));
         assert!(std::ptr::eq(c.get("b").unwrap(), shared.as_ref()));
-        assert!(Arc::ptr_eq(c.get_arc("a").unwrap(), &shared));
         // Dropping the catalog releases exactly the two bindings.
         drop(c);
         assert_eq!(Arc::strong_count(&shared), 1);

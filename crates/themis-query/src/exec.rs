@@ -19,9 +19,7 @@ use crate::value::{cmp_group_prefix, QueryResult, Value};
 use std::collections::HashMap;
 use std::fmt;
 use themis_data::{AttrId, Relation};
-use themis_sql::{
-    AggFunc, ColumnRef, Comparison, Literal, Predicate, Query, SelectItem,
-};
+use themis_sql::{AggFunc, ColumnRef, Comparison, Literal, Predicate, Query, SelectItem};
 
 /// Execution error.
 #[derive(Debug, Clone, PartialEq)]
@@ -151,10 +149,7 @@ pub(crate) struct Resolved {
 /// Resolve a column against the bound tables. The magic column `weight`
 /// (absent from the schema) resolves to `None` — it denotes the implicit
 /// weight column.
-fn resolve(
-    col: &ColumnRef,
-    bindings: &[(&str, &Relation)],
-) -> Result<Option<Resolved>, ExecError> {
+fn resolve(col: &ColumnRef, bindings: &[(&str, &Relation)]) -> Result<Option<Resolved>, ExecError> {
     let candidates: Vec<usize> = bindings
         .iter()
         .enumerate()
@@ -224,9 +219,7 @@ pub(crate) fn compile_mask(
                             "label '{s}' not in domain for ordered comparison"
                         )));
                     };
-                    (0..n)
-                        .map(|i| apply_cmp(op, i as f64, id as f64))
-                        .collect()
+                    (0..n).map(|i| apply_cmp(op, i as f64, id as f64)).collect()
                 }
             }
         }
@@ -1095,8 +1088,11 @@ mod tests {
     #[test]
     fn empty_filter_returns_zero_row() {
         let c = catalog();
-        let r = run_sql(&c, "SELECT COUNT(*) FROM flights WHERE o_st = 'FL' AND d_st = 'NC'")
-            .unwrap();
+        let r = run_sql(
+            &c,
+            "SELECT COUNT(*) FROM flights WHERE o_st = 'FL' AND d_st = 'NC'",
+        )
+        .unwrap();
         assert_eq!(r.scalar(), Some(0.0));
     }
 

@@ -1235,7 +1235,10 @@ mod tests {
             ..EngineOptions::default()
         }
         .describe();
-        assert!(d.contains("4 threads") && d.contains("512 rows/morsel"), "{d}");
+        assert!(
+            d.contains("4 threads") && d.contains("512 rows/morsel"),
+            "{d}"
+        );
         assert!(!d.contains("limits:"), "unarmed options stay terse: {d}");
         let d = EngineOptions {
             limits: crate::guard::Limits {

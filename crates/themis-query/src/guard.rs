@@ -363,9 +363,7 @@ impl<'g> RowMeter<'g> {
 /// contain it) surfaces as [`ExecError::Internal`] with the same message the
 /// parallel engine produces for a contained worker panic, so the engines
 /// stay error-identical.
-pub(crate) fn contain_panics<R>(
-    f: impl FnOnce() -> Result<R, ExecError>,
-) -> Result<R, ExecError> {
+pub(crate) fn contain_panics<R>(f: impl FnOnce() -> Result<R, ExecError>) -> Result<R, ExecError> {
     // AssertUnwindSafe: on panic every partial result is discarded and only
     // the typed error escapes, so no broken invariant is observable.
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {

@@ -154,7 +154,8 @@ impl Client {
         })
     }
 
-    /// Fetch the server's counters.
+    /// Fetch the server's metrics: every counter, gauge and histogram,
+    /// sorted by name (see [`crate::stats::ServerStats::body`]).
     pub fn stats(&mut self) -> Outcome<Json> {
         self.request(
             Json::Obj(vec![("op".to_string(), Json::Str("stats".to_string()))]).to_string(),
@@ -162,18 +163,6 @@ impl Client {
                 j.get("stats")
                     .cloned()
                     .ok_or_else(|| "stats response needs a \"stats\" object".to_string())
-            },
-        )
-    }
-
-    /// Fetch the server's metrics registry export (sorted by name).
-    pub fn metrics(&mut self) -> Outcome<Json> {
-        self.request(
-            Json::Obj(vec![("op".to_string(), Json::Str("metrics".to_string()))]).to_string(),
-            |j| {
-                j.get("metrics")
-                    .cloned()
-                    .ok_or_else(|| "metrics response needs a \"metrics\" object".to_string())
             },
         )
     }

@@ -14,11 +14,13 @@
 //! [`themis_core::Route`] provenance stamp, so a client can always tell a
 //! pure sample answer from a BN-backed one from a degraded one, and the
 //! server aggregates those stamps into per-route / per-degrade-reason
-//! counters ([`stats::ServerStats`], exported by the `stats` op). The same
-//! counters live in a `themis_obs::MetricsRegistry` whose sorted export —
-//! including a log-linear latency histogram with p50/p90/p99 — backs the
-//! `metrics` op, and any `query` request may add `"trace":true` to get the
-//! engine's span tree alongside a bit-identical answer.
+//! counters ([`stats::ServerStats`]). They live in a
+//! `themis_obs::MetricsRegistry` whose export, merged with the shared
+//! world's `live.*` cache and ingest metrics and sorted by name — including
+//! a log-linear latency histogram with p50/p90/p99 — is what the `stats` op
+//! returns. Any `query` request may add `"trace":true` to get the engine's
+//! span tree (the session's `analyze_with`) alongside a bit-identical
+//! answer.
 //!
 //! Threading goes exclusively through `shims/rayon` ([`ThemisServer::serve`]
 //! runs its accept workers on a [`rayon::Pool`] and therefore blocks; see

@@ -9,8 +9,7 @@
 //! | explain | `{"op":"explain","sql":"SELECT …"}` |
 //! | set     | `{"op":"set","deadline_ms":50,"max_rows":null,…}` |
 //! | ingest  | `{"op":"ingest","table":"flights","rows":[["01","FL","NY"],…]}` |
-//! | stats   | `{"op":"stats"}` |
-//! | metrics | `{"op":"metrics"}` |
+//! | stats   | `{"op":"stats"}` — every server and `live.*` metric, sorted by name |
 //!
 //! Successful responses are `{"ok":true,"op":…,…}`; failures are
 //! `{"ok":false,"error":{"kind":…,"message":…}}` with a structured
@@ -72,11 +71,9 @@ pub enum Request {
         /// Rows as domain labels, one `Vec<String>` per row.
         rows: Vec<Vec<String>>,
     },
-    /// Return the server's counters.
+    /// Return the server's metrics (counters, gauges, latency histogram
+    /// summary), sorted by name.
     Stats,
-    /// Return the server's metrics registry (counters, gauges, latency
-    /// histogram summaries), sorted by name.
-    Metrics,
 }
 
 /// Largest `threads` a `set` request may ask for. Each scan or probe starts
@@ -186,7 +183,6 @@ pub fn parse_request(j: &Json) -> Result<Request, String> {
             Ok(Request::Ingest { table, rows })
         }
         "stats" => Ok(Request::Stats),
-        "metrics" => Ok(Request::Metrics),
         other => Err(format!("unknown op \"{other}\"")),
     }
 }
@@ -1013,10 +1009,6 @@ mod tests {
             &Json::parse(r#"{"op":"query","sql":"SELECT 1","trace":1}"#).unwrap()
         )
         .is_err());
-        assert!(matches!(
-            parse_request(&Json::parse(r#"{"op":"metrics"}"#).unwrap()),
-            Ok(Request::Metrics)
-        ));
         let e = Json::parse(r#"{"op":"explain","sql":"SELECT 1"}"#).unwrap();
         assert!(matches!(parse_request(&e), Ok(Request::Explain { .. })));
         assert!(matches!(
@@ -1032,6 +1024,11 @@ mod tests {
         ] {
             assert!(parse_request(&Json::parse(bad).unwrap()).is_err(), "{bad}");
         }
+        // The registry is served by `stats`; there is no second export.
+        assert_eq!(
+            parse_request(&Json::parse(r#"{"op":"metrics"}"#).unwrap()),
+            Err("unknown op \"metrics\"".to_string())
+        );
     }
 
     #[test]

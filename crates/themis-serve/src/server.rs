@@ -148,7 +148,7 @@ pub struct ThemisServer {
     listener: TcpListener,
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    stats: Arc<ServerStats>,
+    stats: ServerStats,
 }
 
 impl ThemisServer {
@@ -167,7 +167,7 @@ impl ThemisServer {
             listener,
             addr,
             shutdown: Arc::new(AtomicBool::new(false)),
-            stats: Arc::new(ServerStats::new()),
+            stats: ServerStats::new(),
         })
     }
 
@@ -182,11 +182,6 @@ impl ThemisServer {
             addr: self.addr,
             shutdown: Arc::clone(&self.shutdown),
         }
-    }
-
-    /// The server's counters (shared with the accept workers).
-    pub fn stats(&self) -> Arc<ServerStats> {
-        Arc::clone(&self.stats)
     }
 
     /// Run the accept loops. **Blocks** until [`ServerHandle::shutdown`];
@@ -256,8 +251,9 @@ impl ThemisServer {
             limits: self.config.default_limits.clone(),
             cancel: None,
             fault_plan: FaultPlan::None,
-            // Tracing is per-request: `dispatch` swaps in an enabled sink
-            // for queries sent with `"trace": true`.
+            // Tracing is per-request: `dispatch` runs queries sent with
+            // `"trace": true` through `analyze_with`, which brings its own
+            // enabled sink.
             trace: TraceSink::disabled(),
         };
         loop {
@@ -327,15 +323,12 @@ impl ThemisServer {
                     );
                 };
                 self.stats.queries.inc();
-                // Tracing is per-request: swap an enabled sink into a clone
-                // of the connection's options, never the options themselves.
+                // Tracing is per-request: `analyze_with` collects into its
+                // own sink, never the connection's options.
                 let outcome = if trace {
-                    let sink = TraceSink::enabled();
-                    let mut traced_engine = engine.clone();
-                    traced_engine.trace = sink.clone();
                     self.world
-                        .sql_with(&sql, &traced_engine)
-                        .map(|answer| (answer, Some(sink.finish())))
+                        .analyze_with(&sql, engine)
+                        .map(|analyzed| (analyzed.answer, Some(analyzed.trace)))
                 } else {
                     self.world.sql_with(&sql, engine).map(|answer| (answer, None))
                 };
@@ -367,8 +360,7 @@ impl ThemisServer {
                 // kind and stay out of the query counters.
                 Err(err) => themis_error_body(&err),
             },
-            Request::Stats => self.stats.body(&self.world.live_snapshot()),
-            Request::Metrics => self.stats.metrics_body(self.world.live_stats()),
+            Request::Stats => self.stats.body(self.world.live_stats()),
         }
     }
 }

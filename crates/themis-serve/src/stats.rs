@@ -5,14 +5,15 @@
 //! family, so the `stats` op exposes the live route mix — how many answers
 //! came straight from the reweighted sample, how many needed the BN, how
 //! many degraded and *why* — without any per-query allocation or locking.
-//! The same handles are registered under dotted names in a
-//! [`MetricsRegistry`], whose sorted export backs the `metrics` op; a
-//! log-linear histogram of successful query latencies rides along and
-//! yields p50/p90/p99 without external dependencies.
+//! The handles are registered under dotted names in a [`MetricsRegistry`];
+//! the `stats` op serves its export merged with the shared world's
+//! `live.*` family, sorted by name, and a log-linear histogram of
+//! successful query latencies rides along and yields p50/p90/p99 without
+//! external dependencies.
 
 use crate::json::Json;
 use std::sync::Arc;
-use themis_core::{DegradeReason, LiveSnapshot, LiveStats, Route, ThemisError};
+use themis_core::{DegradeReason, LiveStats, Route, ThemisError};
 use themis_obs::{Counter, Gauge, Histogram, MetricValue, MetricsRegistry};
 use themis_query::{ExecError, Trip};
 
@@ -152,100 +153,15 @@ impl ServerStats {
         }
     }
 
-    /// The `stats` response body. Field order is part of the wire protocol
-    /// (the golden tests pin it). `live` is the shared world's live-data
-    /// snapshot; the `cache`/`ingest` sections are always present — all
-    /// zeros on a world without an answer cache — so clients never branch
-    /// on shape.
-    pub fn body(&self, live: &LiveSnapshot) -> Json {
-        let n = |c: &Counter| Json::Num(c.get() as f64);
-        let l = |v: u64| Json::Num(v as f64);
-        Json::Obj(vec![
-            ("ok".to_string(), Json::Bool(true)),
-            ("op".to_string(), Json::Str("stats".to_string())),
-            (
-                "stats".to_string(),
-                Json::Obj(vec![
-                    ("connections".to_string(), n(&self.connections)),
-                    ("queries".to_string(), n(&self.queries)),
-                    ("errors".to_string(), n(&self.errors)),
-                    ("busy_rejections".to_string(), n(&self.busy_rejections)),
-                    (
-                        "active_queries".to_string(),
-                        Json::Num(self.active_queries.get() as f64),
-                    ),
-                    (
-                        "routes".to_string(),
-                        Json::Obj(vec![
-                            ("sample".to_string(), n(&self.route_sample)),
-                            ("bayes_net".to_string(), n(&self.route_bayes_net)),
-                            ("hybrid".to_string(), n(&self.route_hybrid)),
-                            ("degraded".to_string(), n(&self.route_degraded)),
-                        ]),
-                    ),
-                    (
-                        "degrade_reasons".to_string(),
-                        Json::Obj(vec![
-                            ("deadline_exceeded".to_string(), n(&self.degrade_deadline)),
-                            (
-                                "row_budget_exceeded".to_string(),
-                                n(&self.degrade_row_budget),
-                            ),
-                            (
-                                "group_budget_exceeded".to_string(),
-                                n(&self.degrade_group_budget),
-                            ),
-                            (
-                                "worker_failure".to_string(),
-                                n(&self.degrade_worker_failure),
-                            ),
-                        ]),
-                    ),
-                    (
-                        "trips".to_string(),
-                        Json::Obj(vec![
-                            ("deadline".to_string(), n(&self.trip_deadline)),
-                            ("cancelled".to_string(), n(&self.trip_cancelled)),
-                            ("row_budget".to_string(), n(&self.trip_row_budget)),
-                            ("group_budget".to_string(), n(&self.trip_group_budget)),
-                        ]),
-                    ),
-                    (
-                        "cache".to_string(),
-                        Json::Obj(vec![
-                            ("hits".to_string(), l(live.cache_hits)),
-                            ("misses".to_string(), l(live.cache_misses)),
-                            ("bypasses".to_string(), l(live.cache_bypasses)),
-                            ("evictions".to_string(), l(live.cache_evictions)),
-                            ("invalidations".to_string(), l(live.cache_invalidations)),
-                            ("entries".to_string(), l(live.cache_entries)),
-                        ]),
-                    ),
-                    (
-                        "ingest".to_string(),
-                        Json::Obj(vec![
-                            ("batches".to_string(), l(live.ingest_batches)),
-                            ("rows".to_string(), l(live.ingest_rows)),
-                            ("generation".to_string(), l(live.generation)),
-                            (
-                                "replicates_resimulated".to_string(),
-                                l(live.replicates_resimulated),
-                            ),
-                            ("replicates_kept".to_string(), l(live.replicates_kept)),
-                        ]),
-                    ),
-                ]),
-            ),
-        ])
-    }
-
-    /// The `metrics` response body: every registered metric — the server's
-    /// own plus the shared world's `live.*` family — sorted by name.
+    /// The `stats` response body: every registered metric — the server's
+    /// own 18 plus the shared world's 11 `live.*` — sorted by name.
     /// Counters and gauges serialize as numbers; histograms as
     /// `{count, p50_us, p90_us, p99_us, sum_us}` objects — the `_us` keys
     /// are wall-clock-dependent, so golden normalization zeroes them while
-    /// `count` stays exact.
-    pub fn metrics_body(&self, live: &LiveStats) -> Json {
+    /// `count` stays exact. The `live.*` entries are always present — all
+    /// zeros on a world without an answer cache — so clients never branch
+    /// on shape.
+    pub fn body(&self, live: &LiveStats) -> Json {
         let mut exported = live.export();
         exported.extend(self.registry.export());
         exported.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
@@ -267,8 +183,8 @@ impl ServerStats {
             .collect();
         Json::Obj(vec![
             ("ok".to_string(), Json::Bool(true)),
-            ("op".to_string(), Json::Str("metrics".to_string())),
-            ("metrics".to_string(), Json::Obj(metrics)),
+            ("op".to_string(), Json::Str("stats".to_string())),
+            ("stats".to_string(), Json::Obj(metrics)),
         ])
     }
 }
@@ -278,60 +194,106 @@ mod tests {
     use super::*;
     use themis_core::RouteKind;
 
-    #[test]
-    fn routes_and_errors_land_in_their_counters() {
-        let stats = ServerStats::new();
-        stats.record_route(&Route::Sample);
-        stats.record_route(&Route::Sample);
-        stats.record_route(&Route::BayesNet { k_agreed: 25 });
-        stats.record_route(&Route::Hybrid {
-            sample_groups: 1,
-            bn_groups_added: 2,
-        });
-        stats.record_route(&Route::Degraded {
-            planned: RouteKind::Hybrid,
-            reason: DegradeReason::WorkerFailure,
-        });
-        stats.record_error(&ThemisError::Exec(ExecError::Governed(Trip::RowBudget {
-            limit: 10,
-        })));
-        stats.record_error(&ThemisError::NoBayesNet);
-        let live = LiveStats::new();
-        live.cache_hits.add(5);
-        live.generation.set(2);
-        let j = stats.body(&live.snapshot());
-        let stats_obj = j.get("stats").unwrap();
-        let routes = stats_obj.get("routes").unwrap();
-        assert_eq!(routes.get("sample").and_then(Json::as_u64), Some(2));
-        assert_eq!(routes.get("bayes_net").and_then(Json::as_u64), Some(1));
-        assert_eq!(routes.get("hybrid").and_then(Json::as_u64), Some(1));
-        assert_eq!(routes.get("degraded").and_then(Json::as_u64), Some(1));
-        assert_eq!(
-            stats_obj
-                .get("degrade_reasons")
-                .and_then(|d| d.get("worker_failure"))
-                .and_then(Json::as_u64),
-            Some(1)
-        );
-        assert_eq!(
-            stats_obj
-                .get("trips")
-                .and_then(|t| t.get("row_budget"))
-                .and_then(Json::as_u64),
-            Some(1)
-        );
-        assert_eq!(stats_obj.get("errors").and_then(Json::as_u64), Some(2));
-        // Live-data sections ride along, mirroring the world's snapshot.
-        let cache = stats_obj.get("cache").unwrap();
-        assert_eq!(cache.get("hits").and_then(Json::as_u64), Some(5));
-        assert_eq!(cache.get("misses").and_then(Json::as_u64), Some(0));
-        let ingest = stats_obj.get("ingest").unwrap();
-        assert_eq!(ingest.get("generation").and_then(Json::as_u64), Some(2));
-        assert_eq!(ingest.get("batches").and_then(Json::as_u64), Some(0));
+    /// The `stats` object of `stats.body(live)`, as name/value pairs.
+    fn entries(stats: &ServerStats, live: &LiveStats) -> Vec<(String, Json)> {
+        match stats.body(live).get("stats") {
+            Some(Json::Obj(entries)) => entries.clone(),
+            other => panic!("stats must be an object, got {other:?}"),
+        }
     }
 
     #[test]
-    fn metrics_body_is_sorted_and_complete() {
+    fn routes_and_errors_land_in_their_counters() {
+        let degraded = |reason| Route::Degraded {
+            planned: RouteKind::Hybrid,
+            reason,
+        };
+        let governed = |trip| ThemisError::Exec(ExecError::Governed(trip));
+        let routes = [
+            (Route::Sample, vec!["server.routes.sample"]),
+            (
+                Route::BayesNet { k_agreed: 25 },
+                vec!["server.routes.bayes_net"],
+            ),
+            (
+                Route::Hybrid {
+                    sample_groups: 1,
+                    bn_groups_added: 2,
+                },
+                vec!["server.routes.hybrid"],
+            ),
+            (
+                degraded(DegradeReason::DeadlineExceeded),
+                vec!["server.routes.degraded", "server.degrade.deadline_exceeded"],
+            ),
+            (
+                degraded(DegradeReason::RowBudgetExceeded),
+                vec![
+                    "server.routes.degraded",
+                    "server.degrade.row_budget_exceeded",
+                ],
+            ),
+            (
+                degraded(DegradeReason::GroupBudgetExceeded),
+                vec![
+                    "server.routes.degraded",
+                    "server.degrade.group_budget_exceeded",
+                ],
+            ),
+            (
+                degraded(DegradeReason::WorkerFailure),
+                vec!["server.routes.degraded", "server.degrade.worker_failure"],
+            ),
+        ];
+        let errors = [
+            (
+                governed(Trip::Deadline),
+                vec!["server.errors", "server.trips.deadline"],
+            ),
+            (
+                governed(Trip::Cancelled),
+                vec!["server.errors", "server.trips.cancelled"],
+            ),
+            (
+                governed(Trip::RowBudget { limit: 10 }),
+                vec!["server.errors", "server.trips.row_budget"],
+            ),
+            (
+                governed(Trip::GroupBudget { limit: 3 }),
+                vec!["server.errors", "server.trips.group_budget"],
+            ),
+            // An ungoverned error counts as an error and as nothing else.
+            (ThemisError::NoBayesNet, vec!["server.errors"]),
+        ];
+        let recorded = routes
+            .iter()
+            .map(|(route, moved)| {
+                let stats = ServerStats::new();
+                stats.record_route(route);
+                (format!("{route:?}"), stats, moved)
+            })
+            .chain(errors.iter().map(|(err, moved)| {
+                let stats = ServerStats::new();
+                stats.record_error(err);
+                (format!("{err:?}"), stats, moved)
+            }));
+        for (what, stats, moved) in recorded {
+            let entries = entries(&stats, &LiveStats::new());
+            assert_eq!(entries.len(), 29, "{what}");
+            for (name, value) in &entries {
+                // The latency histogram moves by its count (successes are
+                // recorded by the server, not by `record_route`).
+                let got = value
+                    .as_u64()
+                    .or_else(|| value.get("count").and_then(Json::as_u64));
+                let want = u64::from(moved.contains(&name.as_str()));
+                assert_eq!(got, Some(want), "{name} after {what}");
+            }
+        }
+    }
+
+    #[test]
+    fn stats_body_is_sorted_and_complete() {
         let stats = ServerStats::new();
         stats.queries.add(3);
         stats.record_route(&Route::Sample);
@@ -339,12 +301,11 @@ mod tests {
         stats.query_latency_us.record(1_000);
         let live = LiveStats::new();
         live.cache_misses.add(2);
-        let body = stats.metrics_body(&live);
+        live.generation.set(2);
+        let body = stats.body(&live);
         assert_eq!(body.get("ok"), Some(&Json::Bool(true)));
-        assert_eq!(body.get("op"), Some(&Json::Str("metrics".to_string())));
-        let Some(Json::Obj(metrics)) = body.get("metrics") else {
-            panic!("metrics must be an object");
-        };
+        assert_eq!(body.get("op"), Some(&Json::Str("stats".to_string())));
+        let metrics = entries(&stats, &live);
         // Sorted by name, regardless of registration order.
         let names: Vec<&str> = metrics.iter().map(|(n, _)| n.as_str()).collect();
         let mut sorted = names.clone();
@@ -355,7 +316,7 @@ mod tests {
         let get = |k: &str| metrics.iter().find(|(n, _)| n == k).map(|(_, v)| v);
         assert_eq!(get("server.queries").and_then(Json::as_u64), Some(3));
         assert_eq!(get("live.cache.misses").and_then(Json::as_u64), Some(2));
-        assert_eq!(get("live.world.generation").and_then(Json::as_u64), Some(0));
+        assert_eq!(get("live.world.generation").and_then(Json::as_u64), Some(2));
         assert_eq!(get("server.routes.sample").and_then(Json::as_u64), Some(1));
         let hist = get("server.query_latency_us").unwrap();
         assert_eq!(hist.get("count").and_then(Json::as_u64), Some(2));

@@ -193,9 +193,9 @@ fn wire_protocol_matches_golden_fixture() {
     );
 }
 
-/// Observability corpus: the `metrics` op before and after a query mix,
-/// traced queries (`"trace":true`) on the sample and hybrid routes, and
-/// the stats snapshot — all byte-stable after `_us` normalization.
+/// Observability corpus: the `stats` export before and after a query mix
+/// and traced queries (`"trace":true`) on the sample and hybrid routes —
+/// all byte-stable after `_us` normalization.
 #[test]
 fn observability_ops_match_golden_fixture() {
     run_golden(

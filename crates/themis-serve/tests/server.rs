@@ -221,7 +221,10 @@ fn admission_control_rejects_with_typed_busy() {
         // Non-query ops are not admission-controlled.
         assert!(client.stats().expect("transport").is_ok());
         let stats = client.stats().expect("transport").expect("stats");
-        assert_eq!(stats.get("busy_rejections").and_then(Json::as_u64), Some(1));
+        assert_eq!(
+            stats.get("server.busy_rejections").and_then(Json::as_u64),
+            Some(1)
+        );
     });
 }
 
@@ -239,6 +242,14 @@ fn hostile_lines_get_typed_errors_and_the_connection_survives() {
             .roundtrip_raw(r#"{"op":"warp"}"#)
             .expect("transport");
         assert!(unknown_op.contains("\"kind\":\"malformed\""), "{unknown_op}");
+        // The metrics export is the `stats` op; `metrics` is no op at all.
+        let metrics = client
+            .roundtrip_raw(r#"{"op":"metrics"}"#)
+            .expect("transport");
+        assert_eq!(
+            metrics,
+            r#"{"ok":false,"error":{"kind":"malformed","message":"unknown op \"metrics\""}}"#
+        );
         let oversized = client
             .roundtrip_raw(&format!(
                 r#"{{"op":"query","sql":"SELECT COUNT(*) AS n FROM t WHERE a = '{}'"}}"#,
@@ -287,19 +298,19 @@ fn concurrent_connections_share_one_world_and_counters_add_up() {
         }
         let mut client = Client::connect(addr).expect("connect");
         let stats = client.stats().expect("transport").expect("stats");
+        let get = |name: &str| stats.get(name).and_then(Json::as_u64);
         // 18 grouped queries all took the same route.
-        let routes = stats.get("routes").expect("routes");
-        let hybrid = routes.get("hybrid").and_then(Json::as_u64).expect("hybrid");
-        let sample = routes.get("sample").and_then(Json::as_u64).expect("sample");
+        let hybrid = get("server.routes.hybrid").expect("hybrid");
+        let sample = get("server.routes.sample").expect("sample");
         assert_eq!(hybrid + sample, 18, "{stats}");
-        assert_eq!(stats.get("queries").and_then(Json::as_u64), Some(18));
-        assert_eq!(stats.get("connections").and_then(Json::as_u64), Some(7));
-        assert_eq!(stats.get("active_queries").and_then(Json::as_u64), Some(0));
+        assert_eq!(get("server.queries"), Some(18));
+        assert_eq!(get("server.connections"), Some(7));
+        assert_eq!(get("server.active_queries"), Some(0));
     });
 }
 
 /// Satellite exactness check: N concurrent clients each issue a *known*
-/// query mix, and every stats/metrics counter must land on the exact
+/// query mix, and every `stats` counter must land on the exact
 /// predicted total — not "roughly N", exactly N. Admission is sized so no
 /// busy rejection can occur; the injected fault panics at a morsel index
 /// only the 500-row BN replicates reach (morsel_rows=7 ⇒ the 300-row
@@ -374,42 +385,21 @@ fn known_query_mix_produces_exact_counters() {
         let n = CLIENTS as u64;
         let mut checker = Client::connect(addr).expect("connect");
         let stats = checker.stats().expect("transport").expect("stats");
-        assert_eq!(stats.get("queries").and_then(Json::as_u64), Some(5 * n));
-        assert_eq!(stats.get("errors").and_then(Json::as_u64), Some(n));
-        assert_eq!(stats.get("busy_rejections").and_then(Json::as_u64), Some(0));
-        assert_eq!(stats.get("active_queries").and_then(Json::as_u64), Some(0));
-        assert_eq!(stats.get("connections").and_then(Json::as_u64), Some(n + 1));
-        let routes = stats.get("routes").expect("routes");
-        assert_eq!(routes.get("sample").and_then(Json::as_u64), Some(2 * n));
-        assert_eq!(routes.get("hybrid").and_then(Json::as_u64), Some(n));
-        assert_eq!(routes.get("degraded").and_then(Json::as_u64), Some(n));
-        assert_eq!(routes.get("bayes_net").and_then(Json::as_u64), Some(0));
-        let reasons = stats.get("degrade_reasons").expect("degrade_reasons");
-        assert_eq!(
-            reasons.get("worker_failure").and_then(Json::as_u64),
-            Some(n),
-            "{stats}"
-        );
-        let trips = stats.get("trips").expect("trips");
-        assert_eq!(trips.get("row_budget").and_then(Json::as_u64), Some(n));
-        assert_eq!(trips.get("deadline").and_then(Json::as_u64), Some(0));
-        // The metrics registry sees the same world: counters match the
-        // stats body, and the latency histogram counted exactly the
-        // successful queries.
-        let metrics = checker.metrics().expect("transport").expect("metrics");
-        assert_eq!(
-            metrics.get("server.queries").and_then(Json::as_u64),
-            Some(5 * n)
-        );
-        assert_eq!(
-            metrics.get("server.errors").and_then(Json::as_u64),
-            Some(n)
-        );
-        assert_eq!(
-            metrics.get("server.routes.degraded").and_then(Json::as_u64),
-            Some(n)
-        );
-        let latency = metrics.get("server.query_latency_us").expect("latency");
+        let get = |name: &str| stats.get(name).and_then(Json::as_u64);
+        assert_eq!(get("server.queries"), Some(5 * n));
+        assert_eq!(get("server.errors"), Some(n));
+        assert_eq!(get("server.busy_rejections"), Some(0));
+        assert_eq!(get("server.active_queries"), Some(0));
+        assert_eq!(get("server.connections"), Some(n + 1));
+        assert_eq!(get("server.routes.sample"), Some(2 * n));
+        assert_eq!(get("server.routes.hybrid"), Some(n));
+        assert_eq!(get("server.routes.degraded"), Some(n));
+        assert_eq!(get("server.routes.bayes_net"), Some(0));
+        assert_eq!(get("server.degrade.worker_failure"), Some(n), "{stats}");
+        assert_eq!(get("server.trips.row_budget"), Some(n));
+        assert_eq!(get("server.trips.deadline"), Some(0));
+        // The latency histogram counted exactly the successful queries.
+        let latency = stats.get("server.query_latency_us").expect("latency");
         assert_eq!(latency.get("count").and_then(Json::as_u64), Some(4 * n));
     });
 }

@@ -50,11 +50,7 @@ pub struct LinearConstraint {
 impl LinearConstraint {
     /// Evaluate the residual `a·θ − b`.
     pub fn residual(&self, theta: &[f64]) -> f64 {
-        self.terms
-            .iter()
-            .map(|&(i, c)| c * theta[i])
-            .sum::<f64>()
-            - self.rhs
+        self.terms.iter().map(|&(i, c)| c * theta[i]).sum::<f64>() - self.rhs
     }
 }
 
@@ -621,7 +617,11 @@ mod tests {
                 let raw: Vec<f64> = (0..size).map(|_| 0.05 + rng.unit()).collect();
                 let total: f64 = raw.iter().sum();
                 for (j, r) in raw.iter().enumerate() {
-                    counts.push(if rng.below(4) == 0 { 0.0 } else { (1 + rng.below(20)) as f64 });
+                    counts.push(if rng.below(4) == 0 {
+                        0.0
+                    } else {
+                        (1 + rng.below(20)) as f64
+                    });
                     if j + 1 < size && rng.below(2) == 0 {
                         let coef = 0.2 + rng.unit();
                         constraints.push(pin(offset + j, coef, coef * r / total));
@@ -643,6 +643,9 @@ mod tests {
                 assert!((a - b).abs() <= TOL, "{closed:?} vs {looped:?}");
             }
         }
-        assert!(compared >= 100, "the loop converged on only {compared} problems");
+        assert!(
+            compared >= 100,
+            "the loop converged on only {compared} problems"
+        );
     }
 }

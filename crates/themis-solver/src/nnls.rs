@@ -56,10 +56,9 @@ pub fn nnls(a: &DenseMatrix, b: &[f64]) -> (Vec<f64>, NnlsReport) {
 
         let mut best: Option<(usize, f64)> = None;
         for i in 0..n {
-            if !passive[i] && w[i] > tol
-                && best.is_none_or(|(_, bw)| w[i] > bw) {
-                    best = Some((i, w[i]));
-                }
+            if !passive[i] && w[i] > tol && best.is_none_or(|(_, bw)| w[i] > bw) {
+                best = Some((i, w[i]));
+            }
         }
         let gap = (0..n)
             .filter(|&i| !passive[i])

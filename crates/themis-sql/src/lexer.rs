@@ -166,9 +166,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
             {
                 let start = i;
                 i += 1; // consume digit or leading minus
-                while i < bytes.len()
-                    && ((bytes[i] as char).is_ascii_digit() || bytes[i] == b'.')
-                {
+                while i < bytes.len() && ((bytes[i] as char).is_ascii_digit() || bytes[i] == b'.') {
                     i += 1;
                 }
                 let text = &input[start..i];

@@ -363,7 +363,11 @@ mod tests {
         assert_eq!(q.group_by, vec![ColumnRef::bare("O")]);
         assert!(matches!(
             &q.select[1],
-            SelectItem::Aggregate { func: AggFunc::Count, arg: None, alias: None }
+            SelectItem::Aggregate {
+                func: AggFunc::Count,
+                arg: None,
+                alias: None
+            }
         ));
     }
 
@@ -426,10 +430,7 @@ mod tests {
 
     #[test]
     fn order_by_and_limit_parse() {
-        let q = parse(
-            "SELECT O, COUNT(*) AS n FROM F GROUP BY O ORDER BY n DESC LIMIT 5",
-        )
-        .unwrap();
+        let q = parse("SELECT O, COUNT(*) AS n FROM F GROUP BY O ORDER BY n DESC LIMIT 5").unwrap();
         let ob = q.order_by.unwrap();
         assert_eq!(ob.column, "n");
         assert!(ob.desc);
@@ -450,7 +451,10 @@ mod tests {
     fn limit_requires_integer() {
         assert!(parse("SELECT COUNT(*) FROM F LIMIT 2.5").is_err());
         assert!(parse("SELECT COUNT(*) FROM F LIMIT x").is_err());
-        assert_eq!(parse("SELECT COUNT(*) FROM F LIMIT 0").unwrap().limit, Some(0));
+        assert_eq!(
+            parse("SELECT COUNT(*) FROM F LIMIT 0").unwrap().limit,
+            Some(0)
+        );
     }
 
     #[test]
@@ -462,7 +466,10 @@ mod tests {
         ));
         assert!(matches!(
             &q.predicates[1],
-            Predicate::Compare { op: Comparison::Ne, .. }
+            Predicate::Compare {
+                op: Comparison::Ne,
+                ..
+            }
         ));
     }
 }
